@@ -4,20 +4,24 @@ Examples::
 
     warped-compression --list
     warped-compression fig09 fig13
-    warped-compression all --scale small --jobs 4 --out results.txt
+    warped-compression all --scale small --out results.txt
     warped-compression fig09 --no-cache   # force fresh simulations
+    warped-compression fig09 --jobs 1     # simulate serially
 
 Simulations run through the :mod:`repro.sim` session layer: distinct
 (kernel, config) pairs are simulated exactly once per invocation, fan
-out across cores with ``--jobs``, and persist in a content-addressed
-on-disk cache (``.repro-cache`` by default, override with
-``--cache-dir`` or ``$REPRO_CACHE_DIR``) so re-rendering a figure
+out across every usable core (``--jobs``), and persist in a
+content-addressed on-disk cache (``.repro-cache`` by default, override
+with ``--cache-dir`` or ``$REPRO_CACHE_DIR``) so re-rendering a figure
 against a warm cache performs zero simulations.
 
 Parallelism knobs, disambiguated (they are easy to conflate):
 
 * ``--jobs N`` (this CLI) — *batch* parallelism: how many distinct
-  (kernel, config) pairs one invocation simulates concurrently;
+  (kernel, config) pairs one invocation simulates concurrently.  The
+  default is every core this process may run on
+  (:func:`~repro.sim.session.usable_cores`); ``--jobs 1`` simulates
+  serially, in this process.  Both write byte-identical tables;
 * ``repro serve --workers N`` / ``$REPRO_SERVE_WORKERS`` — *service*
   parallelism: the long-lived server's simulation worker-pool size
   (see :mod:`repro.serve`); its queue depth is bounded separately by
@@ -52,6 +56,7 @@ from repro.kernels import benchmark_names
 from repro.obs.log import configure_logging, get_logger
 from repro.obs.profiler import HostProfiler
 from repro.sim import Session
+from repro.sim.session import usable_cores
 
 logger = get_logger("harness.runner")
 
@@ -110,9 +115,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--jobs",
         type=int,
-        default=1,
+        default=usable_cores(),
         metavar="N",
-        help="simulate up to N distinct (kernel, config) pairs in parallel",
+        help="simulate up to N distinct (kernel, config) pairs in parallel "
+        "(default: every usable core, here %(default)s; 1 runs serially)",
     )
     parser.add_argument(
         "--cache-dir",
@@ -233,6 +239,7 @@ def main(argv: list[str] | None = None) -> int:
             fh.write("\n\n".join(blocks) + "\n")
     if args.metrics_out:
         payload = profiler.to_dict()
+        payload["jobs"] = args.jobs
         payload["session"] = {
             "simulated": session.simulated,
             "replayed": session.replayed,

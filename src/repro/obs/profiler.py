@@ -31,6 +31,9 @@ class WorkerStats:
 
     simulations: int = 0
     busy_seconds: float = 0.0
+    #: codec-memo lookups the worker's simulations made
+    memo_hits: int = 0
+    memo_misses: int = 0
 
     @property
     def throughput(self) -> float:
@@ -87,15 +90,26 @@ class HostProfiler:
     # Simulation accounting
     # ------------------------------------------------------------------
     def record_simulation(
-        self, seconds: float, worker: int | None = None
+        self,
+        elapsed: float,
+        worker: int | None = None,
+        memo_hits: int = 0,
+        memo_misses: int = 0,
     ) -> None:
-        """One kernel simulation completed in ``seconds`` (on ``worker``)."""
-        self.sim_seconds.observe(seconds)
+        """One kernel simulation completed in ``elapsed`` seconds.
+
+        ``worker`` is the pid that ran it (default: this process);
+        ``memo_hits``/``memo_misses`` are the codec-memo lookups it made
+        there, which a pool worker ships back beside its wall-clock.
+        """
+        self.sim_seconds.observe(elapsed)
         stats = self.workers.setdefault(
             worker if worker is not None else os.getpid(), WorkerStats()
         )
         stats.simulations += 1
-        stats.busy_seconds += seconds
+        stats.busy_seconds += elapsed
+        stats.memo_hits += memo_hits
+        stats.memo_misses += memo_misses
 
     def heartbeat(self, done: int, total: int, label: str = "") -> None:
         """Progress line every ``heartbeat_every`` completions (and last)."""
@@ -132,6 +146,8 @@ class HostProfiler:
                     "simulations": w.simulations,
                     "busy_seconds": w.busy_seconds,
                     "throughput_per_s": w.throughput,
+                    "memo_hits": w.memo_hits,
+                    "memo_misses": w.memo_misses,
                 }
                 for pid, w in sorted(self.workers.items())
             },

@@ -14,7 +14,10 @@ kernels.  ``Session.run(request)`` returns an immutable
   explicitly dedupes with one that does not.
 
 Distinct (kernel, config) pairs fan out across CPU cores via
-:meth:`Session.run_many` when ``max_workers > 1``.
+:meth:`Session.run_many` when ``max_workers > 1`` (the library default
+is 1; the ``warped-compression`` CLI passes :func:`usable_cores`).  The
+pool fails fast: the first failed simulation cancels the queued ones,
+keeps every result that finished, and re-raises.
 
 The module-level :data:`SIM_COUNTER` counts actual simulations (not
 cache hits) process-wide, which is how the test suite *proves* the
@@ -39,6 +42,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable
 
+from repro.core.memo import MEMO_CACHE
 from repro.gpu.config import GPUConfig
 from repro.gpu.functional import run_functional
 from repro.gpu.launch import run_kernel
@@ -250,20 +254,50 @@ def simulate(request: SimRequest, trace_destination: str | None = None) -> RunRe
     )
 
 
+def usable_cores() -> int:
+    """CPU cores this process may run on (never less than 1).
+
+    Honours the scheduler affinity mask (containers, ``taskset``) where
+    the platform has one, else counts every CPU.
+    """
+    try:
+        count = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API (macOS, Windows)
+        count = os.cpu_count() or 1
+    return max(1, count)
+
+
+def _measured_simulate(
+    request: SimRequest, trace_destination: str | None
+) -> tuple[RunResult, dict]:
+    """:func:`simulate`, plus what it cost on this process.
+
+    The measures are the wall-clock ``elapsed``, the ``worker`` pid and
+    the codec-memo ``memo_hits``/``memo_misses`` the run added — the
+    keyword arguments of
+    :meth:`~repro.obs.profiler.HostProfiler.record_simulation`.
+    """
+    hits, misses = MEMO_CACHE.hits, MEMO_CACHE.misses
+    start = time.perf_counter()
+    result = simulate(request, trace_destination)
+    return result, {
+        "elapsed": time.perf_counter() - start,
+        "worker": os.getpid(),
+        "memo_hits": MEMO_CACHE.hits - hits,
+        "memo_misses": MEMO_CACHE.misses - misses,
+    }
+
+
 def _pool_simulate(job: tuple[SimRequest, str | None]) -> dict:
     """Worker-process entry point: simulate and ship a plain dict back.
 
-    The payload carries the worker's pid and wall-clock so the parent's
-    :class:`~repro.obs.profiler.HostProfiler` can attribute throughput.
+    Beside the result, the payload carries the run's measures (see
+    :func:`_measured_simulate`), which would otherwise die with the
+    worker, so the parent's :class:`~repro.obs.profiler.HostProfiler`
+    can attribute throughput and memo behaviour per worker.
     """
-    request, trace_destination = job
-    start = time.perf_counter()
-    result = simulate(request, trace_destination).to_dict()
-    return {
-        "result": result,
-        "elapsed": time.perf_counter() - start,
-        "worker": os.getpid(),
-    }
+    result, measures = _measured_simulate(*job)
+    return {"result": result.to_dict(), **measures}
 
 
 class Session:
@@ -404,32 +438,53 @@ class Session:
         return out
 
     def _run_pool(self, misses: dict[str, tuple[SimRequest, dict]]) -> None:
-        """Fan cache misses across worker processes with progress beats."""
-        with ProcessPoolExecutor(max_workers=self.max_workers) as pool:
-            futures = {
-                pool.submit(
-                    _pool_simulate,
-                    (request, self._trace_destination(request, key)),
-                ): (key, request, material)
-                for key, (request, material) in misses.items()
-            }
-            done = 0
-            for future in as_completed(futures):
-                key, request, material = futures[future]
-                payload = future.result()
-                result = RunResult.from_dict(payload["result"])
-                self.simulated += 1
-                SIM_COUNTER.add()  # workers counted in their own process
-                done += 1
+        """Fan cache misses across worker processes with progress beats.
+
+        Fails fast.  On any exception — a failed simulation, a broken
+        pool, ``KeyboardInterrupt`` — queued keys are cancelled, the
+        keys already running finish, every result that completed is
+        stored, and the original exception propagates.
+        """
+        pool = ProcessPoolExecutor(
+            max_workers=min(self.max_workers, len(misses))
+        )
+        futures: dict = {}
+        try:
+            for key, (request, material) in misses.items():
+                job = (request, self._trace_destination(request, key))
+                futures[pool.submit(_pool_simulate, job)] = (
+                    key, request, material
+                )
+            total = len(futures)
+            for done, future in enumerate(as_completed(futures), 1):
+                key, request, material = futures.pop(future)
+                self._adopt(key, request, material, future.result())
                 if self.profiler is not None:
-                    self.profiler.record_simulation(
-                        payload["elapsed"], worker=payload["worker"]
-                    )
                     self.profiler.heartbeat(
-                        done, len(futures), label=request.benchmark
+                        done, total, label=request.benchmark
                     )
-                self._log(request)
-                self.store(key, material, result)
+        except BaseException:
+            pool.shutdown(wait=True, cancel_futures=True)
+            for future, (key, request, material) in futures.items():
+                if not future.cancelled() and future.exception() is None:
+                    self._adopt(key, request, material, future.result())
+            raise
+        pool.shutdown()
+
+    def _adopt(
+        self, key: str, request: SimRequest, material: dict, payload: dict
+    ) -> None:
+        """Account for and store one result a pool worker simulated."""
+        result = RunResult.from_dict(payload.pop("result"))
+        self.simulated += 1
+        SIM_COUNTER.add()  # workers counted in their own process
+        self._record(payload)
+        self._log(request)
+        self.store(key, material, result)
+
+    def _record(self, measures: dict) -> None:
+        if self.profiler is not None:
+            self.profiler.record_simulation(**measures)
 
     # Convenience wrappers mirroring the retired SimulationCache API.
     def timing_run(self, benchmark: str, **overrides) -> RunResult:
@@ -480,11 +535,11 @@ class Session:
         if request.replay and not request.timing:
             return self._execute_replay(request)
         self._log(request)
-        start = time.perf_counter()
-        result = simulate(request, self._trace_destination(request, key))
+        result, measures = _measured_simulate(
+            request, self._trace_destination(request, key)
+        )
         self.simulated += 1
-        if self.profiler is not None:
-            self.profiler.record_simulation(time.perf_counter() - start)
+        self._record(measures)
         return result
 
     # ------------------------------------------------------------------
@@ -543,13 +598,11 @@ class Session:
         material = source_request.key_material()
         key = fingerprint(material)
         self._log(source_request)
-        start = time.perf_counter()
-        result = simulate(
+        result, measures = _measured_simulate(
             source_request, self._trace_destination(source_request, key)
         )
         self.simulated += 1
-        if self.profiler is not None:
-            self.profiler.record_simulation(time.perf_counter() - start)
+        self._record(measures)
         self.store(key, material, result)
         if result.trace_path is None or not Path(result.trace_path).exists():
             raise RuntimeError(

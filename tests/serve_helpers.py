@@ -11,6 +11,7 @@ from __future__ import annotations
 import asyncio
 import concurrent.futures
 import threading
+import time
 
 from repro.serve.client import ServeClient
 from repro.serve.server import ServeApp, ServeConfig
@@ -53,7 +54,16 @@ class EmbeddedServer:
                 future = asyncio.run_coroutine_threadsafe(
                     self.app.shutdown(drain=True), self._loop
                 )
-                future.result(30)
+                # The loop can also close before it runs the scheduled
+                # call, which then never resolves: stop waiting once the
+                # server thread is gone.
+                deadline = time.monotonic() + 30
+                while not future.done() and self._thread.is_alive():
+                    if time.monotonic() > deadline:
+                        raise TimeoutError("embedded server did not drain")
+                    self._thread.join(0.05)
+                if future.done():
+                    future.result()
             except (RuntimeError, concurrent.futures.CancelledError):
                 # Loop closed mid-flight (server-initiated drain) — either
                 # scheduling fails outright or the pending shutdown call

@@ -1,8 +1,11 @@
 """Tests for the experiment harness, report rendering, and CLI."""
 
+import json
+
 import pytest
 
 from repro.analysis.report import ExperimentResult, fmt
+from repro.harness import runner
 from repro.harness.ablations import ABLATIONS
 from repro.harness.engine import ExperimentSpec, Variant, evaluate, experiment
 from repro.harness.experiments import EXPERIMENTS, run_experiment, table1
@@ -240,6 +243,37 @@ class TestRunnerCli:
         )
         assert code == 0
         assert "table1" in out.read_text()
+
+    def test_parallel_default_equals_serial(self, tmp_path, monkeypatch):
+        """The default fans out; ``--jobs 1`` writes the same bytes.
+
+        Timing (fig09), functional (fig15) and BDI-collecting (fig05)
+        keys, each on a cold cache of its own.
+        """
+        monkeypatch.setattr(runner, "usable_cores", lambda: 2)
+        args = ["fig05", "fig09", "fig15", "--scale", "small",
+                "--benchmarks", *SUBSET, "--quiet"]
+        runs = {}
+        for name, extra in (("default", []), ("serial", ["--jobs", "1"])):
+            out, metrics = tmp_path / f"{name}.txt", tmp_path / f"{name}.json"
+            assert main([*args, *extra,
+                         "--cache-dir", str(tmp_path / name),
+                         "--out", str(out),
+                         "--metrics-out", str(metrics)]) == 0
+            runs[name] = out.read_bytes(), json.loads(metrics.read_text())
+        (default_out, default), (serial_out, serial) = runs.values()
+        assert default_out == serial_out
+        assert default["session"] == serial["session"]
+        assert default["session"]["simulated"] > 0
+        assert (default["jobs"], serial["jobs"]) == (2, 1)
+        # Pool workers ship their codec-memo counters back to the parent.
+        for metrics in (default, serial):
+            workers = metrics["workers"].values()
+            assert sum(w["simulations"] for w in workers) == (
+                metrics["session"]["simulated"]
+            )
+            assert sum(w["memo_hits"] + w["memo_misses"] for w in workers)
+        assert len(default["workers"]) > 1 and len(serial["workers"]) == 1
 
     def test_cache_dir_flag_populates_cache(self, tmp_path, capsys):
         cache_dir = tmp_path / "cache"

@@ -9,10 +9,14 @@ Covers the three pillars of the single-run discipline:
   pair, so back-to-back they simulate each distinct pair exactly once;
 * **cache** — a warm on-disk cache re-renders any figure with *zero*
   simulations and byte-identical tables, and the parallel executor
-  produces results identical to serial execution.
+  produces results identical to serial execution; when a pooled key
+  fails, the executor stops early and keeps every result that finished.
 """
 
 import json
+import multiprocessing
+import os
+import time
 from collections import Counter
 
 import numpy as np
@@ -24,6 +28,7 @@ from repro.analysis.stats import TimingStats, ValueStats
 from repro.core.codec import CompressionMode
 from repro.gpu.trace import RegisterTrace, replay_trace
 from repro.harness.experiments import fig03, fig09, fig14
+from repro.kernels import benchmark_names
 from repro.sim import (
     SIM_COUNTER,
     ResultCache,
@@ -33,8 +38,10 @@ from repro.sim import (
     code_version,
     simulate,
 )
+from repro.sim import session as session_module
 from repro.sim.cache import fingerprint
 from repro.sim.result import SCHEMA_VERSION
+from repro.sim.session import usable_cores
 
 SUBSET = ["lib", "pathfinder"]
 
@@ -375,3 +382,120 @@ class TestParallel:
         assert ResultCache(tmp_path / "cache") and len(
             ResultCache(tmp_path / "cache")
         ) == len(requests)
+
+
+#: Pool workers see a patched ``simulate`` only if they are forked from
+#: the patched parent.
+needs_fork = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="pool workers must inherit the patched simulate",
+)
+
+
+class TestFailFast:
+    """A pooled run stops at its first exception and keeps what finished."""
+
+    #: every registry kernel, functional: one cheap key each, ``lib``
+    #: submitted first and ``aes`` (the failing one here) second
+    REQUESTS = [
+        SimRequest(name, scale="small", timing=False)
+        for name in ["lib", "aes"]
+        + [n for n in benchmark_names() if n not in ("lib", "aes")]
+    ]
+
+    @pytest.fixture
+    def finished(self, tmp_path, monkeypatch):
+        """Make good keys take 0.2 s and ``aes`` fail at once.
+
+        Returns the log every worker appends a finished key's benchmark
+        to.
+        """
+        real = session_module.simulate
+        log = tmp_path / "finished.log"
+
+        def simulate(request, trace_destination=None):
+            if request.benchmark == "aes":
+                raise RuntimeError("injected failure in aes")
+            time.sleep(0.2)
+            result = real(request, trace_destination)
+            with open(log, "a") as fh:
+                fh.write(request.benchmark + "\n")
+            return result
+
+        monkeypatch.setattr(session_module, "simulate", simulate)
+        return log
+
+    def assert_kept_what_finished(self, session, cache_dir, log, total):
+        finished = log.read_text().split()
+        # Queued keys were cancelled...
+        assert 1 <= len(finished) < total
+        # ...and every key that did finish was kept, in the memo and on
+        # disk; ``lib`` was running when the run stopped.
+        assert "lib" in finished
+        assert session.simulated == len(finished)
+        stored = ResultCache(cache_dir)
+        assert len(stored) == len(finished)
+        for request in self.REQUESTS:
+            if request.benchmark in finished:
+                key = fingerprint(request.key_material())
+                assert stored.get(key) is not None
+                assert session.lookup(request)[2] is not None
+
+    @needs_fork
+    def test_failed_simulation_cancels_queued_keys(self, tmp_path, finished):
+        session = Session(
+            scale="small", cache_dir=tmp_path / "cache", max_workers=2
+        )
+        before = SIM_COUNTER.value
+        with pytest.raises(RuntimeError, match="injected failure in aes"):
+            session.run_many(self.REQUESTS)
+        good = len(self.REQUESTS) - 1
+        self.assert_kept_what_finished(
+            session, tmp_path / "cache", finished, good
+        )
+        assert SIM_COUNTER.value - before == session.simulated
+
+    @needs_fork
+    def test_keyboard_interrupt_cancels_queued_keys(
+        self, tmp_path, finished, monkeypatch
+    ):
+        real = session_module.as_completed
+
+        def interrupted(futures):
+            for future in real(futures):
+                yield future
+                raise KeyboardInterrupt
+
+        monkeypatch.setattr(session_module, "as_completed", interrupted)
+        requests = [r for r in self.REQUESTS if r.benchmark != "aes"]
+        session = Session(
+            scale="small", cache_dir=tmp_path / "cache", max_workers=2
+        )
+        with pytest.raises(KeyboardInterrupt):
+            session.run_many(requests)
+        self.assert_kept_what_finished(
+            session, tmp_path / "cache", finished, len(requests)
+        )
+
+
+class TestUsableCores:
+    def test_honours_affinity(self, monkeypatch):
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False
+        )
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert usable_cores() == 3
+
+    def test_falls_back_to_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert usable_cores() == 6
+
+    def test_never_below_one(self, monkeypatch):
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: set(), raising=False
+        )
+        assert usable_cores() == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert usable_cores() == 1
