@@ -49,7 +49,7 @@ from pathlib import Path
 from repro.cluster.cache import DEFAULT_COORDINATOR_PORT
 from repro.obs.log import get_logger
 from repro.obs.metrics import MetricRegistry
-from repro.serve.http import BadRequest, read_request, respond
+from repro.serve.http import BadRequest, HTTPServer
 from repro.sim.cache import (
     ResultCache,
     code_version,
@@ -654,7 +654,7 @@ class CoordinatorApp:
         self.metrics = MetricRegistry(enabled=True)
         self.requests = self.metrics.counter("cluster.http_requests")
         self.state.register_metrics(self.metrics)
-        self._server: asyncio.base_events.Server | None = None
+        self.http = HTTPServer(self._handle)
         self._reaper: asyncio.Task | None = None
         self._stopped = asyncio.Event()
         self._shutting_down = False
@@ -663,10 +663,7 @@ class CoordinatorApp:
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> tuple[str, int]:
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
-        )
-        host, port = self._server.sockets[0].getsockname()[:2]
+        host, port = await self.http.start(self.config.host, self.config.port)
         self._reaper = asyncio.ensure_future(self._reap_loop())
         logger.info(
             f"cluster coordinator listening on http://{host}:{port} "
@@ -682,9 +679,7 @@ class CoordinatorApp:
         self._shutting_down = True
         if self._reaper is not None:
             self._reaper.cancel()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+        await self.http.close()
         self.state.save_journal()
         self._stopped.set()
 
@@ -711,48 +706,20 @@ class CoordinatorApp:
             pass
 
     # ------------------------------------------------------------------
-    # HTTP plumbing (same dialect as repro.serve)
+    # Routing (same dialect as repro.serve)
     # ------------------------------------------------------------------
-    async def _handle_connection(self, reader, writer) -> None:
+    async def _handle(self, writer, method, path, query, body):
+        self.requests.inc()
         try:
-            try:
-                method, path, query, body = await read_request(reader)
-            except (asyncio.IncompleteReadError, ConnectionError):
-                return
-            except BadRequest as exc:
-                await respond(writer, 400, {"error": str(exc)})
-                return
-            self.requests.inc()
-            try:
-                await self._route(writer, method, path, query, body)
-            except BadRequest as exc:
-                await respond(writer, 400, {"error": str(exc)})
-            except StaleWorker as exc:
-                await respond(
-                    writer, 404, {"error": str(exc), "code": "unknown-worker"}
-                )
-            except StaleShard as exc:
-                await respond(
-                    writer, 404, {"error": str(exc), "code": "unknown-shard"}
-                )
-            except VersionMismatch as exc:
-                await respond(
-                    writer, 409, {"error": str(exc), "code": "code-version"}
-                )
-            except KeyError as exc:
-                await respond(writer, 404, {"error": f"not found: {exc}"})
-            except Exception as exc:  # noqa: BLE001 - last-resort 500
-                logger.warning(f"internal error serving {path}: {exc}")
-                await respond(
-                    writer, 500, {"error": f"{type(exc).__name__}: {exc}"}
-                )
-        finally:
-            try:
-                await writer.drain()
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, RuntimeError, asyncio.CancelledError):
-                pass
+            return self._route(method, path, body)
+        except StaleWorker as exc:
+            return 404, {"error": str(exc), "code": "unknown-worker"}
+        except StaleShard as exc:
+            return 404, {"error": str(exc), "code": "unknown-shard"}
+        except VersionMismatch as exc:
+            return 409, {"error": str(exc), "code": "code-version"}
+        except KeyError as exc:
+            return 404, {"error": f"not found: {exc}"}
 
     @staticmethod
     def _json_body(body: bytes) -> dict:
@@ -764,29 +731,19 @@ class CoordinatorApp:
             raise BadRequest("body must be a JSON object")
         return payload
 
-    # ------------------------------------------------------------------
-    # Routing
-    # ------------------------------------------------------------------
-    async def _route(self, writer, method, path, query, body) -> None:
+    def _route(self, method, path, body):
         state = self.state
         if path == "/healthz" and method == "GET":
-            await respond(
-                writer,
-                200,
-                {
-                    "status": "ok",
-                    "keys": len(state.units),
-                    "workers": len(state.alive_workers()),
-                    "code_version": state.code_version,
-                },
-            )
-            return
+            return 200, {
+                "status": "ok",
+                "keys": len(state.units),
+                "workers": len(state.alive_workers()),
+                "code_version": state.code_version,
+            }
         if path in ("/v1/metrics", "/metrics") and method == "GET":
-            await respond(writer, 200, {"metrics": self.metrics.read_all()})
-            return
+            return 200, {"metrics": self.metrics.read_all()}
         if path == "/v1/status" and method == "GET":
-            await respond(writer, 200, state.status())
-            return
+            return 200, state.status()
         if path == "/v1/sweeps" and method == "POST":
             payload = self._json_body(body)
             requests = payload.get("requests")
@@ -797,45 +754,28 @@ class CoordinatorApp:
                 not isinstance(shard_size, int) or shard_size < 1
             ):
                 raise BadRequest("shard_size must be a positive integer")
-            sweep = state.submit_sweep(requests, shard_size)
-            await respond(writer, 200, {"sweep": sweep})
-            return
+            return 200, {"sweep": state.submit_sweep(requests, shard_size)}
         if path.startswith("/v1/sweeps/") and method == "GET":
             sweep_id = path.split("/")[3]
-            await respond(
-                writer, 200, {"sweep": state.sweep_status(sweep_id)}
-            )
-            return
+            return 200, {"sweep": state.sweep_status(sweep_id)}
         if path == "/v1/workers/register" and method == "POST":
             worker = state.register_worker(self._json_body(body))
-            await respond(
-                writer,
-                200,
-                {
-                    "worker_id": worker.worker_id,
-                    "heartbeat_interval": self.config.heartbeat_interval,
-                    "heartbeat_timeout": self.config.heartbeat_timeout,
-                },
-            )
-            return
+            return 200, {
+                "worker_id": worker.worker_id,
+                "heartbeat_interval": self.config.heartbeat_interval,
+                "heartbeat_timeout": self.config.heartbeat_timeout,
+            }
         if path.startswith("/v1/workers/") and method == "POST":
             parts = path.split("/")  # '', 'v1', 'workers', '<id>', verb
             if len(parts) == 5 and parts[4] == "heartbeat":
                 payload = self._json_body(body)
                 state.heartbeat(parts[3], payload.get("stats") or {})
-                await respond(writer, 200, {"ok": True})
-                return
+                return 200, {"ok": True}
             if len(parts) == 5 and parts[4] == "lease":
-                shard = state.lease(parts[3])
-                await respond(
-                    writer,
-                    200,
-                    {
-                        "shard": shard,
-                        "idle_for": self.config.heartbeat_interval,
-                    },
-                )
-                return
+                return 200, {
+                    "shard": state.lease(parts[3]),
+                    "idle_for": self.config.heartbeat_interval,
+                }
         if path.startswith("/v1/shards/") and method == "POST":
             parts = path.split("/")  # '', 'v1', 'shards', '<id>', 'report'
             if len(parts) == 5 and parts[4] == "report":
@@ -847,33 +787,28 @@ class CoordinatorApp:
                     raise BadRequest(
                         '"done" must be an array and "failed" an object'
                     )
-                reply = state.report(
+                return 200, state.report(
                     parts[3],
                     worker_id,
                     [str(k) for k in done],
                     {str(k): str(v) for k, v in failed.items()},
                     payload.get("stats") or {},
                 )
-                await respond(writer, 200, reply)
-                return
         if path.startswith("/v1/cache/"):
             key = path.split("/")[3]
             if method == "GET":
                 entry = self.state.cache_get(key)
                 if entry is None:
-                    await respond(writer, 404, {"error": "cache miss"})
-                else:
-                    await respond(writer, 200, {"entry": entry})
-                return
+                    return 404, {"error": "cache miss"}
+                return 200, {"entry": entry}
             if method == "PUT":
                 payload = self._json_body(body)
                 try:
                     stored = self.state.cache_put(key, payload)
                 except (KeyError, TypeError, ValueError) as exc:
                     raise BadRequest(f"rejected cache entry: {exc}") from exc
-                await respond(writer, 200, {"stored": stored})
-                return
-        await respond(writer, 404, {"error": f"no route {path}"})
+                return 200, {"stored": stored}
+        return 404, {"error": f"no route {path}"}
 
 
 async def start_coordinator(

@@ -8,8 +8,11 @@ can take sustained concurrent traffic:
   warm-cache short-circuiting, per-job timeout → retry → exponential
   backoff, bounded-queue admission control, graceful drain;
 * :mod:`repro.serve.server` — stdlib asyncio JSON-over-HTTP front end
-  (submit / poll / stream / fetch artifacts / scrape metrics) with
-  explicit 429 + ``Retry-After`` backpressure and SIGTERM drain;
+  (submit-and-wait / poll / stream / fetch artifacts / scrape metrics)
+  with explicit 429 + ``Retry-After`` backpressure and SIGTERM drain;
+* :mod:`repro.serve.http` — the shared wire dialect and connection
+  policy: one kept-alive connection loop for serve and the cluster
+  coordinator, and the blocking clients;
 * :mod:`repro.serve.client` — the blocking client library every
   consumer (tests, load generator, future shards) drives it through;
 * :mod:`repro.serve.loadgen` — open/closed-loop load generation with

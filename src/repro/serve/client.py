@@ -1,9 +1,10 @@
 """Thin synchronous client for a ``repro serve`` instance (stdlib only).
 
-Built on :mod:`http.client`, one connection per call (mirroring the
-server's ``Connection: close`` policy).  The load generator and tests
-drive the service exclusively through this module, so it doubles as the
-reference for the wire protocol.
+Built on :mod:`http.client` through
+:class:`~repro.serve.http.KeepAliveClient`: each thread keeps one
+connection open across calls, so one client may serve many threads.
+The load generator and tests drive the service exclusively through this
+module, so it doubles as the reference for the wire protocol.
 
 Typical use::
 
@@ -11,9 +12,11 @@ Typical use::
     result = client.run({"benchmark": "lib", "timing": False})
     print(result.benchmark, result.value.instructions)
 
-:meth:`ServeClient.run` is the high-level path: submit, transparently
-re-submit on ``429`` backpressure (honouring ``Retry-After``), long-poll
-until terminal, fetch the :class:`~repro.sim.result.RunResult`.
+:meth:`ServeClient.run` is the high-level path: one request that
+submits and waits, so the :class:`~repro.sim.result.RunResult` comes
+back in the reply, transparently re-submitting on ``429`` backpressure
+(honouring ``Retry-After``).  Only a job that outlives the wait costs
+further requests: status long-polls, then the result.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 import time
 from dataclasses import asdict
 
-from repro.serve.http import http_json_call
+from repro.serve.http import KeepAliveClient
 from repro.sim.result import RunResult
 from repro.sim.session import SimRequest
 
@@ -67,14 +70,17 @@ class ServeClient:
         self.host = host
         self.port = port
         self.timeout = timeout
+        self._http = KeepAliveClient(host, port, timeout)
 
     # ------------------------------------------------------------------
     # Raw HTTP
     # ------------------------------------------------------------------
     def _call(self, method: str, path: str, body: dict | None = None):
-        return http_json_call(
-            self.host, self.port, method, path, body, timeout=self.timeout
-        )
+        return self._http.call(method, path, body)
+
+    def close(self) -> None:
+        """Close the calling thread's connection (reopened on demand)."""
+        self._http.close()
 
     def _checked(self, method: str, path: str, body: dict | None = None):
         status, headers, payload = self._call(method, path, body)
@@ -107,14 +113,23 @@ class ServeClient:
         return self._checked("POST", "/v1/drain")[1]
 
     def submit(
-        self, request: SimRequest | dict, priority: int = 0
+        self,
+        request: SimRequest | dict,
+        priority: int = 0,
+        wait: float | None = None,
     ) -> dict:
         """Submit one request; returns the job status payload.
 
-        Raises :class:`Backpressure` on 429 — callers decide whether to
-        honour ``retry_after`` and resubmit (``run`` does).
+        With ``wait`` the server holds the reply until the job is
+        terminal or ``wait`` seconds pass; a terminal job's reply also
+        carries ``"result"`` (the ``RunResult`` dict, ``None`` if the
+        job failed).  Raises :class:`Backpressure` on 429 — callers
+        decide whether to honour ``retry_after`` and resubmit (``run``
+        does).
         """
         body = {"request": request_payload(request), "priority": priority}
+        if wait is not None:
+            body["wait"] = wait
         _status, payload = self._checked("POST", "/v1/jobs", body)
         return payload
 
@@ -145,16 +160,18 @@ class ServeClient:
         deadline: float = 600.0,
         on_backpressure=None,
     ) -> RunResult:
-        """Submit + wait + fetch, resubmitting politely under 429s.
+        """Submit and wait in one request, resubmitting politely under 429s.
 
-        ``on_backpressure`` (if given) is called with each
-        :class:`Backpressure` before the client sleeps and retries —
-        the load generator counts shed requests through it.
+        A job still unfinished after ``poll_wait`` seconds is long-polled
+        until terminal, then its result fetched.  ``on_backpressure`` (if
+        given) is called with each :class:`Backpressure` before the
+        client sleeps and retries — the load generator counts shed
+        requests through it.
         """
         give_up = time.monotonic() + deadline
         while True:
             try:
-                submission = self.submit(request, priority)
+                submission = self.submit(request, priority, wait=poll_wait)
                 break
             except Backpressure as exc:
                 if on_backpressure is not None:
@@ -163,6 +180,8 @@ class ServeClient:
                     raise
                 time.sleep(exc.retry_after)
         job = submission["job"]
+        if submission.get("result") is not None:
+            return RunResult.from_dict(submission["result"])
         while job["state"] not in ("done", "failed"):
             if time.monotonic() > give_up:
                 raise ServeError(408, f"job {job['id']} still {job['state']}")

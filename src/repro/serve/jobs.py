@@ -20,7 +20,10 @@ simulation per distinct cache key, with explicit flow control:
 * **timeout → retry → backoff** — each attempt is bounded by
   ``job_timeout``; a timed-out or crashed attempt is retried up to
   ``max_retries`` times with exponential backoff
-  (``backoff_base * 2**attempt`` seconds) before the job fails.
+  (``backoff_base * 2**attempt`` seconds) before the job fails;
+* **a bounded job table** — every live job stays, but only the
+  :data:`MAX_FINISHED_JOBS` most recent terminal ones: the oldest is
+  forgotten first.
 
 Everything here runs on one asyncio event loop; simulations themselves
 run on a ``concurrent.futures`` executor supplied by the server (a
@@ -35,6 +38,7 @@ import heapq
 import itertools
 import os
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -45,6 +49,11 @@ from repro.sim.session import SIM_COUNTER, Session, SimRequest
 #: Latency-histogram bucket bounds (seconds).
 LATENCY_BOUNDS = (0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0,
                   10.0, 30.0, 60.0)
+
+#: Terminal jobs the scheduler remembers; an older one's id is unknown.
+#: A client that submits with ``wait`` gets the result in the reply and
+#: never looks the job up again.
+MAX_FINISHED_JOBS = 1024
 
 
 class QueueFull(Exception):
@@ -71,7 +80,9 @@ class Job:
     id: str
     key: str
     request: SimRequest
-    material: dict
+    #: the cache key's material, until the result is stored (``None``
+    #: once the job is terminal)
+    material: dict | None
     priority: int = 0
     state: str = QUEUED
     #: how the result was produced: ``cache`` | ``simulated`` | ``""``
@@ -184,6 +195,8 @@ class JobScheduler:
         self.backoff_base = backoff_base
         self.queue = PriorityJobQueue(max_queue)
         self.jobs: dict[str, Job] = {}
+        #: ids of the terminal jobs in ``jobs``, oldest first
+        self._finished: deque[str] = deque()
         #: key -> non-terminal Job (the coalescing map)
         self.inflight: dict[str, Job] = {}
         self.draining = False
@@ -289,7 +302,7 @@ class JobScheduler:
             id=f"job-{next(self._job_seq):06d}",
             key=key,
             request=request,
-            material=material,
+            material=material if hit is None else None,
             priority=priority,
         )
         if hit is not None:
@@ -297,9 +310,8 @@ class JobScheduler:
             self.cache_hits.inc()
             job.source = "cache"
             job.result = hit
-            job.state = DONE
-            job.finished_at = time.time()
             self.jobs[job.id] = job
+            self._terminate(job, DONE)
             self.completed.inc()
             self.latency.observe(job.finished_at - job.submitted_at)
             return job, False
@@ -352,6 +364,16 @@ class JobScheduler:
         async with self._changed:
             self._version += 1
             self._changed.notify_all()
+
+    def _terminate(self, job: Job, state: str) -> None:
+        """Move ``job`` to a terminal state, then bound the job table."""
+        job.state = state
+        job.finished_at = time.time()
+        job.material = None
+        self.inflight.pop(job.key, None)
+        self._finished.append(job.id)
+        while len(self._finished) > MAX_FINISHED_JOBS:
+            del self.jobs[self._finished.popleft()]
 
     # ------------------------------------------------------------------
     # Workers
@@ -411,10 +433,8 @@ class JobScheduler:
                 )
                 continue
             return
-        job.state = FAILED
         job.error = last_error
-        job.finished_at = time.time()
-        self.inflight.pop(job.key, None)
+        self._terminate(job, FAILED)
         self.failures.inc()
 
     def _finish(self, job: Job, payload: dict) -> None:
@@ -431,8 +451,6 @@ class JobScheduler:
         self.session.store(job.key, job.material, result)
         job.source = "simulated"
         job.result = result
-        job.state = DONE
-        job.finished_at = time.time()
-        self.inflight.pop(job.key, None)
+        self._terminate(job, DONE)
         self.completed.inc()
         self.latency.observe(job.finished_at - job.submitted_at)

@@ -192,14 +192,15 @@ def run_loadgen(
         distinct_keys=len({item["benchmark"] for item in workload}),
     )
     lock = threading.Lock()
+    # One client for every thread: each thread keeps its own connection,
+    # closed when the thread ends.
     client = ServeClient(host, port)
 
     def _measure(item: dict) -> None:
         shed = []
         start = time.perf_counter()
         try:
-            local = ServeClient(host, port)
-            local.run(
+            client.run(
                 item,
                 spec.priority,
                 deadline=deadline,
@@ -260,6 +261,8 @@ def run_loadgen(
         report.server_metrics = client.metrics()
     except Exception as exc:  # noqa: BLE001 - metrics are best-effort
         report.errors.append(f"metrics scrape failed: {exc}")
+    finally:
+        client.close()
     return report
 
 

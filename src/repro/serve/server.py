@@ -1,15 +1,20 @@
 """Asyncio JSON-over-HTTP front end for the job scheduler (stdlib only).
 
 A deliberately small HTTP/1.1 implementation over ``asyncio`` streams —
-no framework, one connection per request (``Connection: close``) — that
-exposes the :class:`~repro.serve.jobs.JobScheduler` as a service:
+no framework; the connection loop lives in :mod:`repro.serve.http` —
+that exposes the :class:`~repro.serve.jobs.JobScheduler` as a service:
 
 ====== ============================ =====================================
 POST   ``/v1/jobs``                 submit a ``SimRequest`` (JSON body);
                                     ``200`` cached result, ``202``
                                     queued/coalesced, ``400`` bad
                                     request, ``429`` + ``Retry-After``
-                                    backpressure, ``503`` draining
+                                    backpressure, ``503`` draining.
+                                    With ``"wait": S`` the server first
+                                    long-polls the job (max 60 s): a
+                                    terminal job answers ``200`` with
+                                    the ``RunResult`` inline as
+                                    ``"result"`` (``null`` if it failed)
 GET    ``/v1/jobs``                 list job summaries
 GET    ``/v1/jobs/<id>``            job status; ``?wait=S`` long-polls
                                     until terminal (max S seconds)
@@ -26,10 +31,18 @@ Submission body::
 
     {"request": {"benchmark": "lib", "policy": "warped",
                  "timing": false, "scale": "small", ...},
-     "priority": 0}
+     "priority": 0, "wait": 10}
 
 ``request`` accepts every :class:`~repro.sim.session.SimRequest` field;
-``config_overrides`` as a ``{name: value}`` object.
+``config_overrides`` as a ``{name: value}`` object.  ``wait`` is
+optional; without it the reply never carries the result.
+
+Connections are HTTP/1.1 keep-alive: one serves request after request
+until the client closes it or sends ``Connection: close``, it sits idle
+for :data:`~repro.serve.http.IDLE_TIMEOUT` seconds, or the server shuts
+down.  An event stream ends its connection.  The server keeps the
+:data:`~repro.serve.jobs.MAX_FINISHED_JOBS` most recent terminal jobs;
+an older id answers ``404``.
 """
 
 from __future__ import annotations
@@ -45,8 +58,8 @@ from repro.obs.metrics import MetricRegistry
 from repro.serve.http import (
     MAX_BODY,
     BadRequest,
-    read_request,
-    respond,
+    HTTPServer,
+    close_inherited_sockets,
 )
 from repro.serve.jobs import (
     Draining,
@@ -138,12 +151,15 @@ class ServeApp:
             cache_dir=config.cache_dir,
             use_disk_cache=config.use_disk_cache,
         )
-        pool_cls = (
-            ThreadPoolExecutor
-            if config.executor == "thread"
-            else ProcessPoolExecutor
-        )
-        self.executor = pool_cls(max_workers=config.workers)
+        if config.executor == "thread":
+            self.executor = ThreadPoolExecutor(max_workers=config.workers)
+        else:
+            # Workers fork at the first simulation and would otherwise
+            # hold every socket open at that moment.
+            self.executor = ProcessPoolExecutor(
+                max_workers=config.workers,
+                initializer=close_inherited_sockets,
+            )
         self.scheduler = JobScheduler(
             self.session,
             default_submit_fn(self.executor),
@@ -154,7 +170,7 @@ class ServeApp:
             backoff_base=config.backoff_base,
             metrics=self.metrics,
         )
-        self._server: asyncio.base_events.Server | None = None
+        self.http = HTTPServer(self._handle)
         self._stopped = asyncio.Event()
         self._shutting_down = False
 
@@ -164,10 +180,7 @@ class ServeApp:
     async def start(self) -> tuple[str, int]:
         """Bind, start workers, and return the bound (host, port)."""
         self.scheduler.start()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
-        )
-        host, port = self._server.sockets[0].getsockname()[:2]
+        host, port = await self.http.start(self.config.host, self.config.port)
         logger.info(
             f"repro serve listening on http://{host}:{port} "
             f"({self.config.workers} {self.config.executor} workers, "
@@ -176,7 +189,7 @@ class ServeApp:
         return host, port
 
     async def shutdown(self, *, drain: bool = True) -> None:
-        """Graceful stop: drain jobs, close listeners and the pool."""
+        """Graceful stop: drain jobs, close connections and the pool."""
         if self._shutting_down:
             await self._stopped.wait()
             return
@@ -187,9 +200,7 @@ class ServeApp:
                 logger.warning(
                     "drain timed out; abandoning unfinished jobs"
                 )
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+        await self.http.close()
         await self.scheduler.close()
         self.executor.shutdown(wait=False, cancel_futures=True)
         self._stopped.set()
@@ -210,102 +221,42 @@ class ServeApp:
             loop.add_signal_handler(sig, _initiate, sig.name)
 
     # ------------------------------------------------------------------
-    # HTTP plumbing
-    # ------------------------------------------------------------------
-    async def _handle_connection(self, reader, writer) -> None:
-        try:
-            try:
-                method, path, query, body = await self._read_request(reader)
-            except (asyncio.IncompleteReadError, ConnectionError):
-                return
-            except BadRequest as exc:
-                await self._respond(writer, 400, {"error": str(exc)})
-                return
-            self.requests.inc()
-            try:
-                await self._route(writer, method, path, query, body)
-            except BadRequest as exc:
-                await self._respond(writer, 400, {"error": str(exc)})
-            except QueueFull as exc:
-                await self._respond(
-                    writer,
-                    429,
-                    {
-                        "error": "queue full",
-                        "retry_after": exc.retry_after,
-                    },
-                    extra_headers={
-                        "Retry-After": str(max(1, int(exc.retry_after)))
-                    },
-                )
-            except Draining:
-                await self._respond(
-                    writer, 503, {"error": "server is draining"}
-                )
-            except Exception as exc:  # noqa: BLE001 - last-resort 500
-                logger.warning(f"internal error serving {path}: {exc}")
-                await self._respond(
-                    writer, 500, {"error": f"{type(exc).__name__}: {exc}"}
-                )
-        finally:
-            try:
-                await writer.drain()
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, RuntimeError, asyncio.CancelledError):
-                # CancelledError: the loop is tearing down mid-close
-                # (drain-initiated shutdown); the socket is going away
-                # with it, so there is nothing left to clean up.
-                pass
-
-    # The wire dialect lives in repro.serve.http, shared with the
-    # cluster coordinator; these aliases keep call sites short.
-    _read_request = staticmethod(read_request)
-    _respond = staticmethod(respond)
-
-    # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
-    async def _route(self, writer, method, path, query, body) -> None:
-        if path == "/healthz" and method == "GET":
-            await self._respond(
-                writer,
-                200,
-                {
-                    "status": (
-                        "draining" if self.scheduler.draining else "ok"
-                    ),
-                    "jobs": len(self.scheduler.jobs),
-                    "queued": len(self.scheduler.queue),
-                },
+    async def _handle(self, writer, method, path, query, body):
+        self.requests.inc()
+        try:
+            return await self._route(writer, method, path, query, body)
+        except QueueFull as exc:
+            return (
+                429,
+                {"error": "queue full", "retry_after": exc.retry_after},
+                {"Retry-After": str(max(1, int(exc.retry_after)))},
             )
-            return
+        except Draining:
+            return 503, {"error": "server is draining"}
+
+    async def _route(self, writer, method, path, query, body):
+        if path == "/healthz" and method == "GET":
+            return 200, {
+                "status": "draining" if self.scheduler.draining else "ok",
+                "jobs": len(self.scheduler.jobs),
+                "queued": len(self.scheduler.queue),
+            }
         if path in ("/v1/metrics", "/metrics") and method == "GET":
-            await self._respond(writer, 200, self._metrics_payload())
-            return
+            return 200, self._metrics_payload()
         if path == "/v1/drain" and method == "POST":
             asyncio.ensure_future(self.shutdown(drain=True))
-            await self._respond(writer, 202, {"status": "draining"})
-            return
+            return 202, {"status": "draining"}
         if path == "/v1/jobs" and method == "POST":
-            await self._submit(writer, body)
-            return
+            return await self._submit(body)
         if path == "/v1/jobs" and method == "GET":
-            await self._respond(
-                writer,
-                200,
-                {
-                    "jobs": [
-                        job.to_dict()
-                        for job in self.scheduler.jobs.values()
-                    ]
-                },
-            )
-            return
+            return 200, {
+                "jobs": [job.to_dict() for job in self.scheduler.jobs.values()]
+            }
         if path.startswith("/v1/jobs/"):
-            await self._job_resource(writer, method, path, query)
-            return
-        await self._respond(writer, 404, {"error": f"no route {path}"})
+            return await self._job_resource(writer, method, path, query)
+        return 404, {"error": f"no route {path}"}
 
     def _metrics_payload(self) -> dict:
         # Cross-warp batching counters are process-global; under the
@@ -320,7 +271,15 @@ class ServeApp:
             "draining": self.scheduler.draining,
         }
 
-    async def _submit(self, writer, body: bytes) -> None:
+    @staticmethod
+    def _wait_seconds(value) -> float:
+        """A client's long-poll ``wait``, capped at 60 s."""
+        try:
+            return min(60.0, max(0.0, float(value)))
+        except (TypeError, ValueError) as exc:
+            raise BadRequest("wait must be a number") from exc
+
+    async def _submit(self, body: bytes):
         try:
             payload = json.loads(body or b"{}")
         except json.JSONDecodeError as exc:
@@ -329,56 +288,43 @@ class ServeApp:
         priority = payload.get("priority", 0)
         if not isinstance(priority, int):
             raise BadRequest("priority must be an integer")
+        wait = payload.get("wait")
+        if wait is not None:
+            wait = self._wait_seconds(wait)
         job, coalesced = await self.scheduler.submit(request, priority)
-        status = 200 if job.state == "done" else 202
-        await self._respond(
-            writer,
-            status,
-            {"job": job.to_dict(), "coalesced": coalesced},
-        )
+        reply = {"coalesced": coalesced}
+        if wait is not None:
+            await self.scheduler.wait(job, wait)
+            if job.terminal:
+                reply["result"] = (
+                    job.result.to_dict() if job.state == "done" else None
+                )
+        reply["job"] = job.to_dict()
+        return (200 if job.terminal else 202), reply
 
-    async def _job_resource(self, writer, method, path, query) -> None:
+    async def _job_resource(self, writer, method, path, query):
         if method != "GET":
-            await self._respond(writer, 405, {"error": "GET only"})
-            return
+            return 405, {"error": "GET only"}
         parts = path.split("/")  # '', 'v1', 'jobs', '<id>'[, sub]
         job = self.scheduler.get(parts[3])
         if job is None:
-            await self._respond(writer, 404, {"error": "unknown job"})
-            return
+            return 404, {"error": "unknown job"}
         sub = parts[4] if len(parts) > 4 and parts[4] else None
         if sub is None:
             wait = query.get("wait")
             if wait is not None:
-                try:
-                    timeout = min(60.0, max(0.0, float(wait)))
-                except ValueError as exc:
-                    raise BadRequest("wait must be a number") from exc
-                await self.scheduler.wait(job, timeout)
-            await self._respond(writer, 200, {"job": job.to_dict()})
-            return
+                await self.scheduler.wait(job, self._wait_seconds(wait))
+            return 200, {"job": job.to_dict()}
         if sub == "result":
             if not job.terminal:
-                await self._respond(
-                    writer,
-                    409,
-                    {"error": "job not finished", "state": job.state},
-                )
-            elif job.state == "failed":
-                await self._respond(
-                    writer,
-                    200,
-                    {"job": job.to_dict(), "result": None},
-                )
-            else:
-                await self._respond(
-                    writer, 200, job.to_dict(include_result=True)
-                )
-            return
+                return 409, {"error": "job not finished", "state": job.state}
+            if job.state == "failed":
+                return 200, {"job": job.to_dict(), "result": None}
+            return 200, job.to_dict(include_result=True)
         if sub == "events":
             await self._stream_events(writer, job)
-            return
-        await self._respond(writer, 404, {"error": f"no route {path}"})
+            return None
+        return 404, {"error": f"no route {path}"}
 
     async def _stream_events(self, writer, job) -> None:
         """Server-sent-events: one ``data:`` line per state change."""

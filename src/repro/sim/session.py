@@ -38,7 +38,7 @@ import os
 import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Iterable
 
@@ -76,6 +76,18 @@ class SimulationCounter:
 
 #: Global counter incremented once per simulation (never per cache hit).
 SIM_COUNTER = SimulationCounter()
+
+_CONFIG_FIELDS = tuple(f.name for f in fields(GPUConfig))
+
+
+def config_dict(config: GPUConfig) -> dict:
+    """``dataclasses.asdict(config)`` without its recursive deep copy.
+
+    Every :class:`GPUConfig` field is a scalar, so reading the fields
+    builds an equal dict several times faster; a cache key is built on
+    every lookup.
+    """
+    return {name: getattr(config, name) for name in _CONFIG_FIELDS}
 
 
 @dataclass(frozen=True)
@@ -134,7 +146,7 @@ class SimRequest:
             "collect_bdi": self.collect_bdi,
             "capture_trace": self.capture_trace and not self.timing,
             "replay": self.replay and not self.timing,
-            "config": asdict(config) if config is not None else None,
+            "config": config_dict(config) if config is not None else None,
             "code": code_version(),
         }
 
@@ -242,7 +254,7 @@ def simulate(request: SimRequest, trace_destination: str | None = None) -> RunRe
         benchmark=request.benchmark,
         policy=request.policy,
         scale=request.scale,
-        config=asdict(config),
+        config=config_dict(config),
         timing_mode=True,
         cycles=sim.cycles,
         value=sim.stats.value,
@@ -635,7 +647,7 @@ class Session:
         if config is not None:
             changed = {
                 name: value
-                for name, value in asdict(config).items()
+                for name, value in config_dict(config).items()
                 if value != getattr(default, name)
             }
             deltas = "".join(f", {k}={v}" for k, v in sorted(changed.items()))

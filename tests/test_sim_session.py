@@ -216,6 +216,26 @@ class TestRequestKeys:
         assert material["code"] == code_version()
         assert isinstance(material["seed"], int)
 
+    def test_config_material_equals_asdict_for_every_paper_request(self):
+        # Cache keys must not move: the shallow config dict has to equal
+        # what dataclasses.asdict built for every request the paper makes.
+        from dataclasses import asdict
+
+        from repro.harness.experiments import EXPERIMENTS
+
+        session = Session(scale="default", use_disk_cache=False)
+        requests = {
+            request
+            for spec in EXPERIMENTS.values()
+            for request in spec.requests(session).values()
+        }
+        requests.add(SimRequest("lib", config_overrides=(("num_sms", 2),)))
+        assert len(requests) > 200
+        for request in requests:
+            config = request.gpu_config()
+            expected = asdict(config) if config is not None else None
+            assert request.key_material()["config"] == expected
+
 
 # ---------------------------------------------------------------------------
 # In-process dedup (the run-once proof)
