@@ -117,6 +117,14 @@ class ValueStats:
         if divergent:
             self.divergent_instructions += 1
 
+    def record_instructions(self, count: int, divergent: int) -> None:
+        """Batch :meth:`record_instruction` over ``count`` instructions.
+
+        ``divergent`` of them were divergent.
+        """
+        self.instructions += count
+        self.divergent_instructions += divergent
+
     def record_write(
         self,
         values: np.ndarray,

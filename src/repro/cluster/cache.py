@@ -35,7 +35,7 @@ from pathlib import Path
 
 from repro.obs.log import get_logger
 from repro.serve.http import http_json_call
-from repro.sim.cache import ResultCache
+from repro.sim.cache import MALFORMED_ENTRY, ResultCache
 from repro.sim.result import RunResult
 
 logger = get_logger("cluster.cache")
@@ -166,7 +166,7 @@ class TieredResultCache(ResultCache):
             # put_payload re-validates key == fingerprint(material) and
             # parses the result, so a corrupt peer cannot poison us.
             self.put_payload(key, payload)
-        except (KeyError, TypeError, ValueError) as exc:
+        except MALFORMED_ENTRY as exc:
             self.remote_errors += 1
             logger.warning(f"discarding corrupt peer entry {key[:12]}…: {exc}")
             return None

@@ -51,6 +51,7 @@ from repro.obs.log import get_logger
 from repro.obs.metrics import MetricRegistry
 from repro.serve.http import BadRequest, HTTPServer
 from repro.sim.cache import (
+    MALFORMED_ENTRY,
     ResultCache,
     code_version,
     fingerprint,
@@ -413,7 +414,7 @@ class ClusterState:
         if payload is not None:
             try:
                 _material, result = ResultCache.parse_payload(key, payload)
-            except (KeyError, TypeError, ValueError):
+            except MALFORMED_ENTRY:
                 payload = None
             else:
                 if result.trace_path is not None:
@@ -805,7 +806,7 @@ class CoordinatorApp:
                 payload = self._json_body(body)
                 try:
                     stored = self.state.cache_put(key, payload)
-                except (KeyError, TypeError, ValueError) as exc:
+                except MALFORMED_ENTRY as exc:
                     raise BadRequest(f"rejected cache entry: {exc}") from exc
                 return 200, {"stored": stored}
         return 404, {"error": f"no route {path}"}

@@ -10,11 +10,20 @@ Compression *state* is still tracked (each register's would-be storage
 mode under the supplied policy), so divergence-handling statistics such as
 dummy-MOV counts and compressed-register occupancy can also be produced
 functionally.
+
+The register-write stream of a functional run does not depend on the
+policy, so one run can be *priced* several ways at once: a pricing is one
+``(policy, collect_bdi)`` pair with its own policy instance, per-warp
+mode table, compressed-register count and :class:`ValueStats`.  Every
+instruction and write goes through each pricing in turn, and no state is
+shared between them, so each pricing's statistics equal those of a
+separate run under that pricing alone (:meth:`FunctionalRunner.run_priced`).
 """
 
 from __future__ import annotations
 
 from collections import deque
+from typing import Sequence
 
 import numpy as np
 
@@ -24,9 +33,27 @@ from repro.core.policy import CompressionPolicy, make_policy
 from repro.gpu.interpreter import Interpreter, WarpContext, make_warp_context
 from repro.gpu.memory import GlobalMemory, SharedMemory
 from repro.gpu.program import Kernel
-from repro.gpu.simt import popcount
 
 _MAX_STEPS = 50_000_000
+_UNCOMPRESSED = CompressionMode.UNCOMPRESSED
+
+#: One way to price a run: a policy (name or instance) and whether to
+#: collect the best-BDI breakdown.
+Pricing = tuple[str | CompressionPolicy, bool]
+
+
+class _PricingState:
+    """The private compression state of one pricing during a run."""
+
+    __slots__ = ("policy", "stats", "modes", "compressed")
+
+    def __init__(self, policy: CompressionPolicy, collect_bdi: bool):
+        self.policy = policy
+        self.stats = ValueStats(collect_bdi=collect_bdi)
+        #: warp id -> per-register storage mode (for the current CTA)
+        self.modes: dict[int, list[CompressionMode]] = {}
+        #: compressed registers among the current CTA's allocation
+        self.compressed = 0
 
 
 class FunctionalRunner:
@@ -38,9 +65,7 @@ class FunctionalRunner:
         collect_bdi: bool = False,
         warp_size: int = 32,
     ):
-        self.policy = (
-            make_policy(policy) if isinstance(policy, str) else policy
-        )
+        self.policy = _as_policy(policy)
         self.collect_bdi = collect_bdi
         self.warp_size = warp_size
         self.interpreter = Interpreter(warp_size)
@@ -53,13 +78,44 @@ class FunctionalRunner:
         params: list[int],
         gmem: GlobalMemory,
     ) -> RunStats:
-        stats = ValueStats(collect_bdi=self.collect_bdi)
+        """Execute the launch priced under this runner's policy."""
+        (stats,) = self.run_priced(
+            kernel,
+            grid_dim,
+            cta_dim,
+            params,
+            gmem,
+            [(self.policy, self.collect_bdi)],
+        )
+        return stats
+
+    def run_priced(
+        self,
+        kernel: Kernel,
+        grid_dim: tuple[int, int],
+        cta_dim: tuple[int, int],
+        params: list[int],
+        gmem: GlobalMemory,
+        pricings: Sequence[Pricing],
+    ) -> list[RunStats]:
+        """Execute the launch once, priced under every pricing.
+
+        Returns one :class:`RunStats` per pricing, in order, each equal
+        to what a separate run under that pricing alone produces.  A
+        pricing given as a policy instance uses that instance, so give
+        each pricing its own.
+        """
+        states = [
+            _PricingState(_as_policy(policy), collect_bdi)
+            for policy, collect_bdi in pricings
+        ]
         params_arr = np.asarray(
             [int(p) & 0xFFFFFFFF for p in params], dtype=np.uint32
         )
         cta_threads = cta_dim[0] * cta_dim[1]
         warps_per_cta = -(-cta_threads // self.warp_size)
         num_ctas = grid_dim[0] * grid_dim[1]
+        allocated = warps_per_cta * kernel.num_registers
 
         steps = 0
         # The interpreter's float handlers carry no errstate of their own
@@ -82,29 +138,30 @@ class FunctionalRunner:
                     )
                     for w in range(warps_per_cta)
                 ]
-                # Per-register storage mode under the policy (for MOV and
-                # occupancy accounting).
-                modes = {
-                    ctx.warp_id: [CompressionMode.UNCOMPRESSED]
-                    * kernel.num_registers
-                    for ctx in warps
-                }
-                allocated = warps_per_cta * kernel.num_registers
-                steps = self._run_cta(warps, modes, allocated, stats, steps)
-        return RunStats(
-            benchmark=kernel.name, policy=self.policy.name, value=stats
-        )
+                # Per-register storage mode under each policy (for MOV
+                # and occupancy accounting).
+                for state in states:
+                    state.modes = {
+                        ctx.warp_id: [_UNCOMPRESSED] * kernel.num_registers
+                        for ctx in warps
+                    }
+                    state.compressed = 0
+                steps = self._run_cta(warps, states, allocated, steps)
+        return [
+            RunStats(
+                benchmark=kernel.name, policy=state.policy.name, value=state.stats
+            )
+            for state in states
+        ]
 
     def _run_cta(
         self,
         warps: list[WarpContext],
-        modes: dict[int, list[CompressionMode]],
+        states: list[_PricingState],
         allocated: int,
-        stats: ValueStats,
         steps: int,
     ) -> int:
         """Run one CTA's warps round-robin, respecting barriers."""
-        compressed = 0
         pending = deque(warps)
         while pending:
             progressed = False
@@ -116,9 +173,7 @@ class FunctionalRunner:
                 if ctx.at_barrier:
                     pending.append(ctx)
                     continue
-                compressed, steps, hit_barrier = self._run_warp(
-                    ctx, modes[ctx.warp_id], allocated, compressed, stats, steps
-                )
+                steps = self._run_warp(ctx, states, allocated, steps)
                 progressed = True
                 if not ctx.done:
                     pending.append(ctx)
@@ -136,15 +191,20 @@ class FunctionalRunner:
     def _run_warp(
         self,
         ctx: WarpContext,
-        warp_modes: list[CompressionMode],
+        states: list[_PricingState],
         allocated: int,
-        compressed: int,
-        stats: ValueStats,
         steps: int,
-    ) -> tuple[int, int, bool]:
+    ) -> int:
         """Execute ``ctx`` until it finishes or reaches a barrier."""
         interp = self.interpreter
-        policy = self.policy
+        priced = [
+            (state, state.modes[ctx.warp_id], state.policy, state.stats)
+            for state in states
+        ]
+        occupancy = [(state, state.stats.record_occupancy) for state in states]
+        # Instruction counts are the same for every pricing: count here,
+        # add once per pricing on the way out.
+        instructions = divergent_instructions = 0
         while not ctx.done:
             steps += 1
             if steps > _MAX_STEPS:
@@ -152,41 +212,57 @@ class FunctionalRunner:
             result = interp.execute(ctx)
             if result is None:
                 break
-            stats.record_instruction(result.base_divergent)
-            stats.record_occupancy(
-                compressed / allocated if allocated else 0.0,
-                result.base_divergent,
-            )
+            base_divergent = result.base_divergent
+            instructions += 1
+            divergent_instructions += base_divergent
+            for state, record_occupancy in occupancy:
+                record_occupancy(
+                    state.compressed / allocated if allocated else 0.0,
+                    base_divergent,
+                )
             if result.is_barrier:
                 ctx.at_barrier = True
-                return compressed, steps, True
-            if result.dst is None:
+                break
+            dst = result.dst
+            if dst is None:
                 continue
-            # Dummy-MOV bookkeeping: first divergent update to a
-            # compressed destination decompresses it in place.
-            if (
-                policy.requires_mov_on_divergent_write
-                and result.divergent
-                and warp_modes[result.dst].is_compressed
-            ):
-                stats.record_mov()
-                compressed -= 1
-                warp_modes[result.dst] = CompressionMode.UNCOMPRESSED
-            decision = policy.decide(result.values, result.divergent)
-            old = warp_modes[result.dst]
-            warp_modes[result.dst] = decision.mode
-            compressed += int(decision.mode.is_compressed) - int(
-                old.is_compressed
-            )
-            stats.record_write(
-                result.values,
-                result.divergent,
-                achievable_mode=choose_mode(result.values),
-                stored_banks=decision.banks,
-                stored_mode=decision.mode,
-            )
+            values = result.values
+            divergent = result.divergent
+            # What the register could compress to: the same for every
+            # pricing, so classified once per write.
+            achievable = choose_mode(values)
+            for state, warp_modes, policy, stats in priced:
+                # Dummy-MOV bookkeeping: first divergent update to a
+                # compressed destination decompresses it in place.
+                if (
+                    policy.requires_mov_on_divergent_write
+                    and divergent
+                    and warp_modes[dst] is not _UNCOMPRESSED
+                ):
+                    stats.record_mov()
+                    state.compressed -= 1
+                    warp_modes[dst] = _UNCOMPRESSED
+                decision = policy.decide(values, divergent)
+                mode = decision.mode
+                state.compressed += (mode is not _UNCOMPRESSED) - (
+                    warp_modes[dst] is not _UNCOMPRESSED
+                )
+                warp_modes[dst] = mode
+                stats.record_write(
+                    values,
+                    divergent,
+                    achievable_mode=achievable,
+                    stored_banks=decision.banks,
+                    stored_mode=mode,
+                )
             interp.apply(ctx, result)
-        return compressed, steps, False
+        for state in states:
+            state.stats.record_instructions(instructions, divergent_instructions)
+        return steps
+
+
+def _as_policy(policy: str | CompressionPolicy) -> CompressionPolicy:
+    return make_policy(policy) if isinstance(policy, str) else policy
 
 
 def run_functional(

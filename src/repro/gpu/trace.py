@@ -152,35 +152,27 @@ def capture_trace(
     trace = RegisterTrace(kernel_name=kernel.name)
     trace.num_registers = kernel.num_registers
     runner = FunctionalRunner(policy="baseline")
+    interp = runner.interpreter
+    original_execute = interp.execute
 
-    original = runner._run_warp
+    def tapping_execute(context):
+        result = original_execute(context)
+        if result is not None:
+            if result.dst is not None:
+                trace.record(
+                    context.warp_id,
+                    result.dst,
+                    result.values,
+                    result.divergent,
+                )
+            trace.instructions += 1
+            if result.base_divergent:
+                trace.divergent_instructions += 1
+        return result
 
-    def tapped(ctx, warp_modes, allocated, compressed, stats, steps):
-        interp = runner.interpreter
-        original_execute = interp.execute
-
-        def tapping_execute(context):
-            result = original_execute(context)
-            if result is not None:
-                if result.dst is not None:
-                    trace.record(
-                        context.warp_id,
-                        result.dst,
-                        result.values,
-                        result.divergent,
-                    )
-                trace.instructions += 1
-                if result.base_divergent:
-                    trace.divergent_instructions += 1
-            return result
-
-        interp.execute = tapping_execute
-        try:
-            return original(ctx, warp_modes, allocated, compressed, stats, steps)
-        finally:
-            interp.execute = original_execute
-
-    runner._run_warp = tapped
+    # The runner's interpreter is its own, so tapping its ``execute``
+    # sees every instruction of the launch and nothing else.
+    interp.execute = tapping_execute
     runner.run(kernel, grid_dim, cta_dim, params, gmem)
     return trace
 

@@ -11,7 +11,10 @@ An experiment is a *workload × config grid* plus a *pure reduction*:
   :class:`~repro.analysis.report.ExperimentResult` table;
 * :func:`evaluate` — the one engine that expands the grid, hands every
   request to the :class:`~repro.sim.session.Session` (which dedupes,
-  caches, and optionally parallelizes), and applies the reduction.
+  caches, and optionally parallelizes), and applies the reduction;
+* :func:`plan` — the union of several specs' grids as one ordered batch,
+  which the CLI simulates in one :meth:`~repro.sim.session.Session.run_many`
+  call before rendering each spec from the session's memo.
 
 Because all execution funnels through the session, two experiments that
 share a (kernel, config) pair — e.g. the Figure 9 and Figure 14 baseline
@@ -22,7 +25,7 @@ table without simulating at all.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 from repro.analysis.report import ExperimentResult
 from repro.sim.result import RunResult
@@ -140,6 +143,27 @@ def evaluate(spec: ExperimentSpec, session: Session) -> ExperimentResult:
             f"reduction for {spec.exp_id!r} produced {result.exp_id!r}"
         )
     return result
+
+
+def plan(specs: Iterable[ExperimentSpec], session: Session) -> list[SimRequest]:
+    """Every distinct request of ``specs``, ordered for one batch.
+
+    Timing requests come first, since they run longest; functional ones
+    follow grouped by (benchmark, scale), so the keys that share one
+    kernel run sit together (and land in one shard on a fleet).  Within
+    each part, first-seen order is kept.
+    """
+    requests = dict.fromkeys(
+        request for spec in specs for request in spec.requests(session).values()
+    )
+    groups: dict[tuple[str, str], int] = {}
+    for request in requests:
+        if not request.timing:
+            groups.setdefault((request.benchmark, request.scale), len(groups))
+    return sorted(
+        requests,
+        key=lambda r: -1 if r.timing else groups[(r.benchmark, r.scale)],
+    )
 
 
 @dataclass(frozen=True)

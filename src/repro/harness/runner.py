@@ -17,11 +17,18 @@ against a warm cache performs zero simulations.
 
 Parallelism knobs, disambiguated (they are easy to conflate):
 
-* ``--jobs N`` (this CLI) — *batch* parallelism: how many distinct
-  (kernel, config) pairs one invocation simulates concurrently.  The
-  default is every core this process may run on
-  (:func:`~repro.sim.session.usable_cores`); ``--jobs 1`` simulates
-  serially, in this process.  Both write byte-identical tables;
+* ``--jobs N`` (this CLI) — *batch* parallelism: how many simulation
+  jobs one invocation runs concurrently.  The default is every core
+  this process may run on (:func:`~repro.sim.session.usable_cores`);
+  ``--jobs 1`` simulates serially, in this process.  Both write
+  byte-identical tables.  The invocation plans its whole pass first:
+  the requests of every experiment go to the session as one batch
+  (timing keys first, then functional keys grouped by benchmark), so
+  one pool of at most ``N`` workers serves the pass, and the functional
+  keys of one benchmark share one kernel run (one job).  Each
+  experiment then renders from the session's memo; ``--metrics-out``
+  times the batch as the ``plan`` phase and records the kernel runs
+  behind the simulated keys;
 * ``repro serve --workers N`` / ``$REPRO_SERVE_WORKERS`` — *service*
   parallelism: the long-lived server's simulation worker-pool size
   (see :mod:`repro.serve`); its queue depth is bounded separately by
@@ -50,8 +57,10 @@ import sys
 import time
 
 from repro.harness.ablations import ABLATIONS
+from repro.harness.engine import plan
 from repro.harness.experiments import EXPERIMENTS
 from repro.harness.extensions import EXTENSIONS
+from repro.harness.sweeps import replay_spec, replayable
 from repro.kernels import benchmark_names
 from repro.obs.log import configure_logging, get_logger
 from repro.obs.profiler import HostProfiler
@@ -203,18 +212,28 @@ def main(argv: list[str] | None = None) -> int:
             max_workers=args.jobs,
             profiler=profiler,
         )
-    blocks = []
+    drivers = {}
     for exp_id in requested:
         driver = ALL_DRIVERS[exp_id]
-        if args.replay_tier:
-            from repro.harness.engine import ExperimentSpec
-            from repro.harness.sweeps import replay_spec, replayable
+        if args.replay_tier and replayable(driver):
+            driver = replay_spec(driver)
+            logger.info(f"{exp_id}: replay tier (pricing from stored traces)")
+        drivers[exp_id] = driver
 
-            if isinstance(driver, ExperimentSpec) and replayable(driver):
-                driver = replay_spec(driver)
-                logger.info(
-                    f"{exp_id}: replay tier (pricing from stored traces)"
-                )
+    # Simulate the whole pass as one batch: one pool, keys that share a
+    # kernel run in one job, then every experiment renders from the memo.
+    start = time.time()
+    with profiler.phase("plan"):
+        batch = plan(drivers.values(), session)
+        logger.info(
+            f"planned {len(batch)} distinct requests for "
+            f"{len(drivers)} experiments ..."
+        )
+        session.run_many(batch)
+    logger.info(f"  ({time.time() - start:.1f}s)\n")
+
+    blocks = []
+    for exp_id, driver in drivers.items():
         start = time.time()
         logger.info(f"running {exp_id} ...")
         with profiler.phase(exp_id):

@@ -29,6 +29,7 @@ logger = get_logger("profiler")
 class WorkerStats:
     """Throughput of one worker process in the pool engine."""
 
+    #: simulated keys (a shared kernel run counts each of its keys)
     simulations: int = 0
     busy_seconds: float = 0.0
     #: codec-memo lookups the worker's simulations made
@@ -37,7 +38,7 @@ class WorkerStats:
 
     @property
     def throughput(self) -> float:
-        """Simulations per busy second."""
+        """Simulated keys per busy second."""
         if self.busy_seconds <= 0:
             return 0.0
         return self.simulations / self.busy_seconds
@@ -58,6 +59,9 @@ class HostProfiler:
     )
     started_at: float = field(default_factory=time.monotonic)
     heartbeat_every: int = 10
+    #: kernel executions behind the simulated keys (a shared functional
+    #: run prices several keys at once)
+    kernel_runs: int = 0
 
     # ------------------------------------------------------------------
     # Phase timing
@@ -95,18 +99,23 @@ class HostProfiler:
         worker: int | None = None,
         memo_hits: int = 0,
         memo_misses: int = 0,
+        keys: int = 1,
     ) -> None:
-        """One kernel simulation completed in ``elapsed`` seconds.
+        """One kernel run simulated ``keys`` keys in ``elapsed`` seconds.
 
         ``worker`` is the pid that ran it (default: this process);
         ``memo_hits``/``memo_misses`` are the codec-memo lookups it made
         there, which a pool worker ships back beside its wall-clock.
+        Simulations count keys; a run shared by several keys adds its
+        wall-clock once, split evenly over them in the histogram.
         """
-        self.sim_seconds.observe(elapsed)
+        for _ in range(keys):
+            self.sim_seconds.observe(elapsed / keys)
+        self.kernel_runs += 1
         stats = self.workers.setdefault(
             worker if worker is not None else os.getpid(), WorkerStats()
         )
-        stats.simulations += 1
+        stats.simulations += keys
         stats.busy_seconds += elapsed
         stats.memo_hits += memo_hits
         stats.memo_misses += memo_misses
@@ -137,6 +146,7 @@ class HostProfiler:
             },
             "simulations": {
                 "count": self.sim_seconds.total,
+                "kernel_runs": self.kernel_runs,
                 "total_seconds": self.sim_seconds.sum,
                 "mean_seconds": self.sim_seconds.mean,
                 "histogram": self.sim_seconds.to_dict(),

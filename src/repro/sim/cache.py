@@ -38,6 +38,11 @@ _VERSIONED_PACKAGES = ("core", "gpu", "power", "kernels", "analysis", "obs")
 
 _code_version: str | None = None
 
+#: What parsing a wrong-shaped entry can raise.  Entries are outside
+#: input (a disk file, a peer's reply), so any of these makes one a
+#: miss or a rejection, never a crash.
+MALFORMED_ENTRY = (AttributeError, KeyError, TypeError, ValueError)
+
 
 def code_version() -> str:
     """Fingerprint of the simulator source (cached per process).
@@ -122,8 +127,8 @@ class ResultCache:
 
         The result must parse and the key must match the fingerprint of
         the stored material, so a corrupt or mislabelled peer response
-        can never poison a local tier.  Raises ``ValueError`` /
-        ``KeyError`` / ``TypeError`` on any mismatch.
+        can never poison a local tier.  Raises one of
+        :data:`MALFORMED_ENTRY` on any mismatch.
         """
         material = payload.get("material")
         result = RunResult.from_dict(payload["result"])
@@ -153,13 +158,19 @@ class ResultCache:
 
     # ------------------------------------------------------------------
     def get(self, key: str) -> RunResult | None:
-        """Load one entry, or ``None`` on miss/corruption/stale trace."""
-        path = self._entry_path(key)
+        """Load one entry, or ``None`` on miss/corruption/stale trace.
+
+        An entry must pass :meth:`read_entry` (a JSON object stored
+        under its own key) and its result must parse.  The key material
+        is not re-fingerprinted: this is the hot read path, and
+        :meth:`parse_payload` does that for entries from peers.
+        """
+        payload = self.read_entry(key)
+        if payload is None:
+            return None
         try:
-            with open(path) as fh:
-                payload = json.load(fh)
             result = RunResult.from_dict(payload["result"], from_cache=True)
-        except (OSError, ValueError, KeyError):
+        except MALFORMED_ENTRY:
             return None
         # A result advertising a trace must still be able to deliver it.
         if result.trace_path and not os.path.exists(result.trace_path):

@@ -13,17 +13,21 @@ kernels.  ``Session.run(request)`` returns an immutable
   GPU configuration, so a request that spells out a default value
   explicitly dedupes with one that does not.
 
-Distinct (kernel, config) pairs fan out across CPU cores via
-:meth:`Session.run_many` when ``max_workers > 1`` (the library default
-is 1; the ``warped-compression`` CLI passes :func:`usable_cores`).  The
-pool fails fast: the first failed simulation cancels the queued ones,
-keeps every result that finished, and re-raises.
+:meth:`Session.run_many` executes cache misses as *jobs*.  A job is
+one key, except that functional misses of one (benchmark, scale) form
+a single job: their register-write stream does not depend on the
+policy, so :func:`simulate_shared` runs the kernel once and prices it
+under each key's policy (see :mod:`repro.gpu.functional`).  Jobs fan
+out across CPU cores when ``max_workers > 1`` (the library default is
+1; the ``warped-compression`` CLI passes :func:`usable_cores`).  The
+pool fails fast: the first failed job cancels the queued ones, keeps
+every result that finished, and re-raises.
 
-The module-level :data:`SIM_COUNTER` counts actual simulations (not
-cache hits) process-wide, which is how the test suite *proves* the
-run-once/replay-many discipline: running the Figure 9 and Figure 14
-experiments back-to-back simulates each distinct pair exactly once, and
-a warm-cache rerun simulates nothing.
+Accounting stays per key.  The module-level :data:`SIM_COUNTER` counts
+simulated keys (not cache hits, not kernel runs) process-wide, which is
+how the test suite *proves* the run-once/replay-many discipline: running
+the Figure 9 and Figure 14 experiments back-to-back simulates each
+distinct pair exactly once, and a warm-cache rerun simulates nothing.
 
 Functional requests additionally support a **trace-replay tier**
 (``SimRequest(replay=True)``): the session captures one canonical
@@ -40,11 +44,11 @@ import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from repro.core.memo import MEMO_CACHE
 from repro.gpu.config import GPUConfig
-from repro.gpu.functional import run_functional
+from repro.gpu.functional import FunctionalRunner, run_functional
 from repro.gpu.launch import run_kernel
 from repro.gpu.trace import RegisterTrace, capture_trace, replay_trace
 from repro.kernels import benchmark_names, get_benchmark
@@ -62,7 +66,7 @@ logger = get_logger("sim.session")
 
 
 class SimulationCounter:
-    """Process-wide count of kernel simulations actually executed."""
+    """Process-wide count of simulated keys (a shared run counts each)."""
 
     def __init__(self) -> None:
         self.value = 0
@@ -74,7 +78,7 @@ class SimulationCounter:
         self.value = 0
 
 
-#: Global counter incremented once per simulation (never per cache hit).
+#: Global counter incremented once per simulated key (never per cache hit).
 SIM_COUNTER = SimulationCounter()
 
 _CONFIG_FIELDS = tuple(f.name for f in fields(GPUConfig))
@@ -227,16 +231,7 @@ def simulate(request: SimRequest, trace_destination: str | None = None) -> RunRe
                 policy=request.policy,
                 collect_bdi=request.collect_bdi,
             )
-        return RunResult(
-            benchmark=request.benchmark,
-            policy=request.policy,
-            scale=request.scale,
-            config=None,
-            timing_mode=False,
-            cycles=0,
-            value=stats.value,
-            trace_path=trace_path,
-        )
+        return _functional_result(request, stats.value, trace_path)
 
     config = request.gpu_config()
     sim = run_kernel(
@@ -266,6 +261,64 @@ def simulate(request: SimRequest, trace_destination: str | None = None) -> RunRe
     )
 
 
+def shared_run(request: SimRequest) -> tuple[str, str] | None:
+    """The kernel run ``request`` can share with other keys, if any.
+
+    Plain functional requests of one (benchmark, scale) execute the same
+    register-write stream whatever their policy, so they can be priced
+    from one run.  Timing runs, trace captures and replays cannot.
+    """
+    if request.timing or request.capture_trace or request.replay:
+        return None
+    return (request.benchmark, request.scale)
+
+
+def simulate_shared(requests: Sequence[SimRequest]) -> list[RunResult]:
+    """Execute functional requests that share one kernel run.
+
+    Runs the kernel once and prices it under each request's policy
+    (:meth:`~repro.gpu.functional.FunctionalRunner.run_priced`), so each
+    result equals what :func:`simulate` returns for that request alone.
+    Increments :data:`SIM_COUNTER` once per request.
+    """
+    kernel_runs = {shared_run(request) for request in requests}
+    if len(kernel_runs) != 1 or None in kernel_runs:
+        raise ValueError(
+            "shared simulation needs plain functional requests of one "
+            "benchmark and scale"
+        )
+    SIM_COUNTER.add(len(requests))
+    first = requests[0]
+    spec = get_benchmark(first.benchmark).launch(first.scale)
+    runs = FunctionalRunner().run_priced(
+        spec.kernel,
+        spec.grid_dim,
+        spec.cta_dim,
+        spec.params,
+        spec.fresh_memory(),
+        [(request.policy, request.collect_bdi) for request in requests],
+    )
+    return [
+        _functional_result(request, stats.value)
+        for request, stats in zip(requests, runs)
+    ]
+
+
+def _functional_result(
+    request: SimRequest, value, trace_path: str | None = None
+) -> RunResult:
+    return RunResult(
+        benchmark=request.benchmark,
+        policy=request.policy,
+        scale=request.scale,
+        config=None,
+        timing_mode=False,
+        cycles=0,
+        value=value,
+        trace_path=trace_path,
+    )
+
+
 def usable_cores() -> int:
     """CPU cores this process may run on (never less than 1).
 
@@ -279,20 +332,25 @@ def usable_cores() -> int:
     return max(1, count)
 
 
-def _measured_simulate(
-    request: SimRequest, trace_destination: str | None
-) -> tuple[RunResult, dict]:
-    """:func:`simulate`, plus what it cost on this process.
+def _measured_job(
+    requests: Sequence[SimRequest], trace_destination: str | None = None
+) -> tuple[list[RunResult], dict]:
+    """Execute one job, plus what it cost on this process.
 
-    The measures are the wall-clock ``elapsed``, the ``worker`` pid and
-    the codec-memo ``memo_hits``/``memo_misses`` the run added — the
-    keyword arguments of
-    :meth:`~repro.obs.profiler.HostProfiler.record_simulation`.
+    A one-key job goes through :func:`simulate` (the only job that may
+    capture a trace to ``trace_destination``); a larger one through
+    :func:`simulate_shared`.  The measures are the wall-clock
+    ``elapsed``, the ``worker`` pid and the codec-memo
+    ``memo_hits``/``memo_misses`` the job added — the keyword arguments
+    of :meth:`~repro.obs.profiler.HostProfiler.record_simulation`.
     """
     hits, misses = MEMO_CACHE.hits, MEMO_CACHE.misses
     start = time.perf_counter()
-    result = simulate(request, trace_destination)
-    return result, {
+    if len(requests) == 1:
+        results = [simulate(requests[0], trace_destination)]
+    else:
+        results = simulate_shared(requests)
+    return results, {
         "elapsed": time.perf_counter() - start,
         "worker": os.getpid(),
         "memo_hits": MEMO_CACHE.hits - hits,
@@ -300,16 +358,29 @@ def _measured_simulate(
     }
 
 
-def _pool_simulate(job: tuple[SimRequest, str | None]) -> dict:
-    """Worker-process entry point: simulate and ship a plain dict back.
+def _pool_job(job: tuple[tuple[SimRequest, ...], str | None]) -> dict:
+    """Worker-process entry point: run a job and ship plain dicts back.
 
-    Beside the result, the payload carries the run's measures (see
-    :func:`_measured_simulate`), which would otherwise die with the
-    worker, so the parent's :class:`~repro.obs.profiler.HostProfiler`
-    can attribute throughput and memo behaviour per worker.
+    Beside the results (one per request, in order), the payload carries
+    the job's measures (see :func:`_measured_job`), which would
+    otherwise die with the worker, so the parent's
+    :class:`~repro.obs.profiler.HostProfiler` can attribute throughput
+    and memo behaviour per worker.
     """
-    result, measures = _measured_simulate(*job)
-    return {"result": result.to_dict(), **measures}
+    results, measures = _measured_job(*job)
+    return {"results": [result.to_dict() for result in results], **measures}
+
+
+def _pool_simulate(job: tuple[SimRequest, str | None]) -> dict:
+    """The one-key pool entry point (the serve scheduler's).
+
+    The payload is :func:`_pool_job`'s with its one result as
+    ``result``.
+    """
+    request, trace_destination = job
+    payload = _pool_job(((request,), trace_destination))
+    (payload["result"],) = payload.pop("results")
+    return payload
 
 
 class Session:
@@ -406,7 +477,9 @@ class Session:
 
         Only *distinct* (kernel, config) pairs are simulated — duplicate
         and equivalent requests collapse onto one execution — and the
-        returned mapping covers every requested key.
+        returned mapping covers every requested key.  Misses run as jobs
+        (see :meth:`_jobs`), so functional misses of one (benchmark,
+        scale) share one kernel run.
         """
         requests = list(dict.fromkeys(requests))
         out: dict[SimRequest, RunResult] = {}
@@ -433,12 +506,12 @@ class Session:
             simulations = {
                 key: job for key, job in misses.items() if key not in replays
             }
-            if self.max_workers > 1 and len(simulations) > 1:
-                self._run_pool(simulations)
+            jobs = self._jobs(simulations)
+            if self.max_workers > 1 and len(jobs) > 1:
+                self._run_pool(jobs, simulations)
             else:
-                for key, (request, material) in simulations.items():
-                    result = self._execute(request, key)
-                    self.store(key, material, result)
+                for keys in jobs:
+                    self._run_job(keys, simulations)
             for key, (request, material) in replays.items():
                 result = self._execute(request, key)
                 self.store(key, material, result)
@@ -449,54 +522,100 @@ class Session:
                 out[request] = self._memo[fingerprint(request.key_material())]
         return out
 
-    def _run_pool(self, misses: dict[str, tuple[SimRequest, dict]]) -> None:
-        """Fan cache misses across worker processes with progress beats.
+    @staticmethod
+    def _jobs(misses: dict[str, tuple[SimRequest, dict]]) -> list[list[str]]:
+        """Group cache misses into jobs, in first-key order.
 
-        Fails fast.  On any exception — a failed simulation, a broken
-        pool, ``KeyboardInterrupt`` — queued keys are cancelled, the
-        keys already running finish, every result that completed is
-        stored, and the original exception propagates.
+        Keys that can share one kernel run (see :func:`shared_run`) form
+        one job; every other key is a job of its own.
         """
-        pool = ProcessPoolExecutor(
-            max_workers=min(self.max_workers, len(misses))
+        jobs: list[list[str]] = []
+        shared: dict[tuple[str, str], list[str]] = {}
+        for key, (request, _) in misses.items():
+            run = shared_run(request)
+            if run is None:
+                jobs.append([key])
+            elif run in shared:
+                shared[run].append(key)
+            else:
+                shared[run] = [key]
+                jobs.append(shared[run])
+        return jobs
+
+    def _run_job(
+        self, keys: list[str], misses: dict[str, tuple[SimRequest, dict]]
+    ) -> None:
+        """Run one job in this process and store every key of it."""
+        requests = [misses[key][0] for key in keys]
+        results = self._simulate(
+            requests, self._trace_destination(requests[0], keys[0])
         )
+        for key, result in zip(keys, results):
+            self.store(key, misses[key][1], result)
+
+    def _run_pool(
+        self, jobs: list[list[str]], misses: dict[str, tuple[SimRequest, dict]]
+    ) -> None:
+        """Fan jobs across worker processes with progress beats.
+
+        Fails fast.  On any exception — a failed job, a broken pool,
+        ``KeyboardInterrupt`` — queued jobs are cancelled, the jobs
+        already running finish, every key of every job that completed
+        is stored, and the original exception propagates.
+        """
+        pool = ProcessPoolExecutor(max_workers=min(self.max_workers, len(jobs)))
         futures: dict = {}
         try:
-            for key, (request, material) in misses.items():
-                job = (request, self._trace_destination(request, key))
-                futures[pool.submit(_pool_simulate, job)] = (
-                    key, request, material
-                )
+            for keys in jobs:
+                requests = tuple(misses[key][0] for key in keys)
+                job = (requests, self._trace_destination(requests[0], keys[0]))
+                futures[pool.submit(_pool_job, job)] = keys
             total = len(futures)
             for done, future in enumerate(as_completed(futures), 1):
-                key, request, material = futures.pop(future)
-                self._adopt(key, request, material, future.result())
+                keys = futures.pop(future)
+                self._adopt(keys, misses, future.result())
                 if self.profiler is not None:
                     self.profiler.heartbeat(
-                        done, total, label=request.benchmark
+                        done, total, label=misses[keys[0]][0].benchmark
                     )
         except BaseException:
             pool.shutdown(wait=True, cancel_futures=True)
-            for future, (key, request, material) in futures.items():
+            for future, keys in futures.items():
                 if not future.cancelled() and future.exception() is None:
-                    self._adopt(key, request, material, future.result())
+                    self._adopt(keys, misses, future.result())
             raise
         pool.shutdown()
 
     def _adopt(
-        self, key: str, request: SimRequest, material: dict, payload: dict
+        self,
+        keys: list[str],
+        misses: dict[str, tuple[SimRequest, dict]],
+        payload: dict,
     ) -> None:
-        """Account for and store one result a pool worker simulated."""
-        result = RunResult.from_dict(payload.pop("result"))
-        self.simulated += 1
-        SIM_COUNTER.add()  # workers counted in their own process
-        self._record(payload)
-        self._log(request)
-        self.store(key, material, result)
+        """Account for and store the keys of one job a pool worker ran."""
+        results = [RunResult.from_dict(data) for data in payload.pop("results")]
+        SIM_COUNTER.add(len(keys))  # workers counted in their own process
+        self._account(len(keys), payload)
+        for key, result in zip(keys, results):
+            request, material = misses[key]
+            self._log(request)
+            self.store(key, material, result)
 
-    def _record(self, measures: dict) -> None:
+    def _simulate(
+        self, requests: list[SimRequest], trace_destination: str | None
+    ) -> list[RunResult]:
+        """Run one job in this process and account for its keys."""
+        for request in requests:
+            self._log(request)
+        results, measures = _measured_job(requests, trace_destination)
+        self._account(len(requests), measures)
+        return results
+
+    def _account(self, keys: int, measures: dict) -> None:
+        """Count one job's simulated keys; its measures go in once."""
+        self.simulated += keys
         if self.profiler is not None:
-            self.profiler.record_simulation(**measures)
+            self.profiler.record_simulation(keys=keys, **measures)
 
     # Convenience wrappers mirroring the retired SimulationCache API.
     def timing_run(self, benchmark: str, **overrides) -> RunResult:
@@ -546,12 +665,9 @@ class Session:
     def _execute(self, request: SimRequest, key: str) -> RunResult:
         if request.replay and not request.timing:
             return self._execute_replay(request)
-        self._log(request)
-        result, measures = _measured_simulate(
-            request, self._trace_destination(request, key)
+        (result,) = self._simulate(
+            [request], self._trace_destination(request, key)
         )
-        self.simulated += 1
-        self._record(measures)
         return result
 
     # ------------------------------------------------------------------
@@ -609,12 +725,9 @@ class Session:
         source_request = self._replay_source(request)
         material = source_request.key_material()
         key = fingerprint(material)
-        self._log(source_request)
-        result, measures = _measured_simulate(
-            source_request, self._trace_destination(source_request, key)
+        (result,) = self._simulate(
+            [source_request], self._trace_destination(source_request, key)
         )
-        self.simulated += 1
-        self._record(measures)
         self.store(key, material, result)
         if result.trace_path is None or not Path(result.trace_path).exists():
             raise RuntimeError(

@@ -108,6 +108,22 @@ class TestTieredGet:
         assert cache.remote_errors == 1
         assert ResultCache(tmp_path / "local").get(key) is None
 
+    def test_wrong_shaped_peer_entry_discarded(self, tmp_path):
+        key, material, result = _entry()
+        payloads = [
+            [1],
+            "str",
+            {"key": key, "material": material, "result": None},
+            {"key": key, "material": material, "result": [1, 2]},
+        ]
+        peer = FakePeer()
+        cache = TieredResultCache(tmp_path / "local", remote=peer)
+        for errors, payload in enumerate(payloads, 1):
+            peer.entries[key] = payload
+            assert cache.get(key) is None, payload
+            assert cache.remote_errors == errors
+        assert ResultCache(tmp_path / "local").get(key) is None
+
     def test_no_remote_behaves_like_plain_cache(self, tmp_path):
         key, material, result = _entry()
         cache = TieredResultCache(tmp_path / "local", remote=None)

@@ -7,6 +7,8 @@ heartbeat reaping, journal resume, and the cache-is-truth completion
 rules are all provable without a running fleet.
 """
 
+import json
+
 import pytest
 
 from repro.cluster.coordinator import (
@@ -18,7 +20,7 @@ from repro.cluster.coordinator import (
 from repro.obs.metrics import MetricRegistry
 from repro.serve.http import BadRequest
 from repro.sim import ResultCache, SimRequest, code_version, simulate
-from repro.sim.cache import fingerprint
+from repro.sim.cache import MALFORMED_ENTRY, fingerprint
 
 
 class FakeClock:
@@ -221,6 +223,19 @@ class TestCacheTruth:
         with pytest.raises(ValueError):
             state.cache_put(key, entry)
         assert state.cache.read_entry(key) is None
+
+    def test_wrong_shaped_entries_rejected_not_raised(self, state):
+        key, entry = self._entry(_requests(1)[0])
+        for result in (None, [1, 2]):
+            bad = dict(entry, result=result)
+            with pytest.raises(MALFORMED_ENTRY):
+                state.cache_put(key, bad)
+            # The same body already on disk is a miss, not a crash.
+            path = state.cache._entry_path(key)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(json.dumps(bad))
+            assert state.cache_get(key) is None
+        assert state.cache_get_misses == 2
 
     def test_cache_get_counts_hits_and_misses(self, state):
         key, entry = self._entry(_requests(1)[0])

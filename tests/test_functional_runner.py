@@ -1,5 +1,7 @@
 """Tests for the functional (timing-free) runner."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from repro.gpu.builder import KernelBuilder
 from repro.gpu.functional import FunctionalRunner, run_functional
 from repro.gpu.isa import Cmp
 from repro.gpu.memory import GlobalMemory
+from repro.kernels import benchmark_names, get_benchmark
 
 
 def barrier_kernel():
@@ -93,3 +96,63 @@ class TestStatsCollection:
         one = run_functional(b.build(), (1, 1), (32, 1), [], GlobalMemory())
         four = run_functional(b.build(), (4, 1), (32, 1), [], GlobalMemory())
         assert four.value.instructions == 4 * one.value.instructions
+
+
+#: The seven policies ``repro serve`` prices, each with and without BDI
+#: collection: fourteen pricings of one run.
+PRICINGS = [
+    (policy, collect_bdi)
+    for policy in (
+        "baseline",
+        "warped",
+        "warped-buffered",
+        "static-4-0",
+        "static-4-1",
+        "static-4-2",
+        "per-thread",
+    )
+    for collect_bdi in (False, True)
+]
+
+
+def _canonical(stats) -> str:
+    return json.dumps(stats.value.to_dict(), sort_keys=True)
+
+
+class TestSharedPricing:
+    """One kernel run priced many ways equals one run per pricing."""
+
+    @pytest.mark.parametrize(
+        "name", benchmark_names() + benchmark_names(extended=True)
+    )
+    def test_grouped_pricing_equals_separate_runs(self, name):
+        spec = get_benchmark(name).launch("small")
+        shared = FunctionalRunner().run_priced(
+            spec.kernel,
+            spec.grid_dim,
+            spec.cta_dim,
+            spec.params,
+            spec.fresh_memory(),
+            PRICINGS,
+        )
+        assert len(shared) == len(PRICINGS)
+        for (policy, collect_bdi), stats in zip(PRICINGS, shared):
+            alone = run_functional(
+                spec.kernel,
+                spec.grid_dim,
+                spec.cta_dim,
+                spec.params,
+                spec.fresh_memory(),
+                policy=policy,
+                collect_bdi=collect_bdi,
+            )
+            assert stats.policy == alone.policy
+            assert _canonical(stats) == _canonical(alone), (policy, collect_bdi)
+
+    def test_shared_run_writes_the_same_memory(self):
+        spec = get_benchmark("pathfinder").launch("small")
+        gmem = spec.fresh_memory()
+        FunctionalRunner().run_priced(
+            spec.kernel, spec.grid_dim, spec.cta_dim, spec.params, gmem, PRICINGS
+        )
+        get_benchmark("pathfinder").verify(gmem, spec)

@@ -7,7 +7,13 @@ import pytest
 from repro.analysis.report import ExperimentResult, fmt
 from repro.harness import runner
 from repro.harness.ablations import ABLATIONS
-from repro.harness.engine import ExperimentSpec, Variant, evaluate, experiment
+from repro.harness.engine import (
+    ExperimentSpec,
+    Variant,
+    evaluate,
+    experiment,
+    plan,
+)
 from repro.harness.experiments import EXPERIMENTS, run_experiment, table1
 from repro.harness.extensions import EXTENSIONS
 from repro.harness.runner import main
@@ -274,6 +280,38 @@ class TestRunnerCli:
             )
             assert sum(w["memo_hits"] + w["memo_misses"] for w in workers)
         assert len(default["workers"]) > 1 and len(serial["workers"]) == 1
+
+    def test_pass_runs_in_one_pool(self, tmp_path):
+        """The whole pass is one batch: one pool of at most ``--jobs``.
+
+        Figure 5's BDI key and Figure 15's four keys of a benchmark
+        share one kernel run.
+        """
+        metrics = tmp_path / "metrics.json"
+        assert main(["fig05", "fig15", "--jobs", "2", "--scale", "small",
+                     "--benchmarks", *SUBSET, "--quiet", "--no-cache",
+                     "--metrics-out", str(metrics)]) == 0
+        payload = json.loads(metrics.read_text())
+        workers = payload["workers"].values()
+        assert 1 <= len(workers) <= 2
+        simulated = payload["session"]["simulated"]
+        assert simulated == 5 * len(SUBSET)
+        assert sum(w["simulations"] for w in workers) == simulated
+        assert payload["simulations"]["count"] == simulated
+        assert payload["simulations"]["kernel_runs"] == len(SUBSET)
+        assert payload["phases"]["plan"]["calls"] == 1
+
+    def test_plan_orders_timing_first_then_shared_runs(self):
+        session = Session(scale="small", subset=SUBSET, use_disk_cache=False)
+        batch = plan([EXPERIMENTS[e] for e in ("fig15", "fig09", "fig05")],
+                      session)
+        # fig15: four functional keys; fig09: two timing; fig05: one BDI
+        assert len(batch) == len(set(batch)) == 7 * len(SUBSET)
+        timing = [r for r in batch if r.timing]
+        assert batch[: len(timing)] == timing
+        runs = [r.benchmark for r in batch[len(timing):]]
+        # Each benchmark's functional keys are adjacent, in first-seen order.
+        assert runs == sorted(runs, key=SUBSET.index)
 
     def test_cache_dir_flag_populates_cache(self, tmp_path, capsys):
         cache_dir = tmp_path / "cache"

@@ -314,11 +314,45 @@ class TestDiskCache:
         cache = ResultCache(cache_dir)
         assert len(cache) == 1
         (entry,) = cache_dir.glob("results/*/*.json")
-        entry.write_text("{not json")
+        key = entry.stem
+        bodies = [
+            "{not json",
+            # JSON of the wrong shape, with or without the right key
+            "[1]",
+            '"str"',
+            '{"result": null}',
+            '{"result": [1, 2]}',
+            json.dumps({"key": key, "result": None}),
+            json.dumps({"key": key, "result": [1, 2]}),
+            json.dumps({"key": key, "result": {"schema": SCHEMA_VERSION}}),
+        ]
+        for body in bodies:
+            entry.write_text(body)
+            assert cache.get(key) is None, body
+            session = Session(scale="small", cache_dir=cache_dir)
+            before = SIM_COUNTER.value
+            assert not session.functional_run("lib").from_cache, body
+            assert SIM_COUNTER.value == before + 1, body
+
+    def test_entry_under_another_key_is_a_miss(self, tmp_path):
+        """A valid entry copied to another key's path is not a hit."""
+        cache_dir = tmp_path / "cache"
         session = Session(scale="small", cache_dir=cache_dir)
-        before = SIM_COUNTER.value
-        assert not session.functional_run("lib").from_cache
-        assert SIM_COUNTER.value == before + 1
+        lib = session.request("lib", timing=False)
+        pathfinder = session.request("pathfinder", timing=False)
+        session.run_many([lib, pathfinder])
+        cache = ResultCache(cache_dir)
+        lib_key = fingerprint(lib.key_material())
+        pathfinder_key = fingerprint(pathfinder.key_material())
+        cache._entry_path(lib_key).write_bytes(
+            cache._entry_path(pathfinder_key).read_bytes()
+        )
+        assert cache.read_entry(lib_key) is None
+        assert cache.get(lib_key) is None
+        assert cache.get(pathfinder_key).benchmark == "pathfinder"
+        warm = Session(scale="small", cache_dir=cache_dir)
+        assert warm.run(lib).benchmark == "lib"
+        assert warm.simulated == 1
 
     def test_code_version_partitions_cache(self, tmp_path, monkeypatch):
         cache_dir = tmp_path / "cache"
@@ -404,6 +438,104 @@ class TestParallel:
         ) == len(requests)
 
 
+#: The five functional keys the paper figures need of one benchmark
+#: (Figures 2, 3 and 8; Figure 5's BDI breakdown; Figure 15's static
+#: policies), which one kernel run prices.
+SHARED_POLICIES = [
+    ("warped", False),
+    ("warped", True),
+    ("static-4-0", False),
+    ("static-4-1", False),
+    ("static-4-2", False),
+]
+
+
+def functional_keys(benchmark: str) -> list[SimRequest]:
+    return [
+        SimRequest(
+            benchmark, scale="small", timing=False, policy=policy,
+            collect_bdi=collect_bdi,
+        )
+        for policy, collect_bdi in SHARED_POLICIES
+    ]
+
+
+class TestSharedRuns:
+    """Functional keys of one benchmark cost one kernel run together."""
+
+    @pytest.fixture
+    def kernel_runs(self, monkeypatch):
+        """Count executions of the functional interpreter loop."""
+        from repro.gpu.functional import FunctionalRunner
+
+        calls = []
+        real = FunctionalRunner.run_priced
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(FunctionalRunner, "run_priced", counted)
+        return calls
+
+    def test_five_keys_one_kernel_run(self, tmp_path, kernel_runs):
+        requests = functional_keys("pathfinder")
+        session = Session(scale="small", cache_dir=tmp_path / "shared")
+        before = SIM_COUNTER.value
+        results = session.run_many(requests)
+        assert len(kernel_runs) == 1
+        assert session.simulated == 5
+        assert SIM_COUNTER.value - before == 5
+
+        shared = ResultCache(tmp_path / "shared")
+        for i, request in enumerate(requests):
+            alone = Session(scale="small", cache_dir=tmp_path / f"alone{i}")
+            assert canonical_json(alone.run(request)) == canonical_json(
+                results[request]
+            )
+            key = fingerprint(request.key_material())
+            assert shared.read_entry(key) == ResultCache(
+                tmp_path / f"alone{i}"
+            ).read_entry(key)
+        assert len(kernel_runs) == 1 + len(requests)
+
+    def test_captures_and_timing_runs_stay_one_key_jobs(self, kernel_runs):
+        requests = functional_keys("lib") + [
+            SimRequest("lib", scale="small", timing=False, capture_trace=True),
+            SimRequest("lib", scale="small", policy="baseline"),
+        ]
+        session = Session(scale="small", use_disk_cache=False)
+        session.run_many(requests)
+        # One shared run for the five, one capture; the timing run does
+        # not execute the functional interpreter at all.
+        assert len(kernel_runs) == 2
+        assert session.simulated == len(requests)
+
+    def test_profiler_counts_keys_and_runs(self, tmp_path):
+        from repro.obs.profiler import HostProfiler
+
+        profiler = HostProfiler()
+        session = Session(
+            scale="small", use_disk_cache=False, profiler=profiler
+        )
+        session.run_many(functional_keys("lib") + functional_keys("nw"))
+        payload = profiler.to_dict()
+        assert payload["simulations"]["count"] == 10
+        assert payload["simulations"]["kernel_runs"] == 2
+        (worker,) = payload["workers"].values()
+        assert worker["simulations"] == 10
+
+    def test_shared_simulation_rejects_unshareable_requests(self):
+        with pytest.raises(ValueError, match="one benchmark and scale"):
+            session_module.simulate_shared(
+                functional_keys("lib")[:1] + functional_keys("nw")[:1]
+            )
+        with pytest.raises(ValueError, match="one benchmark and scale"):
+            session_module.simulate_shared(
+                [SimRequest("lib", scale="small", policy="baseline")]
+            )
+
+
 #: Pool workers see a patched ``simulate`` only if they are forked from
 #: the patched parent.
 needs_fork = pytest.mark.skipif(
@@ -474,6 +606,46 @@ class TestFailFast:
             session, tmp_path / "cache", finished, good
         )
         assert SIM_COUNTER.value - before == session.simulated
+
+    @needs_fork
+    def test_failed_multi_key_job_cancels_queued_jobs(
+        self, tmp_path, monkeypatch
+    ):
+        """A failing shared run stops the pool; finished jobs are kept."""
+        real = session_module.simulate_shared
+        log = tmp_path / "finished.log"
+
+        def simulate_shared(requests):
+            if requests[0].benchmark == "aes":
+                raise RuntimeError("injected failure in aes")
+            time.sleep(0.2)
+            results = real(requests)
+            with open(log, "a") as fh:
+                fh.write(requests[0].benchmark + "\n")
+            return results
+
+        monkeypatch.setattr(session_module, "simulate_shared", simulate_shared)
+        names = [request.benchmark for request in self.REQUESTS]
+        requests = [r for name in names for r in functional_keys(name)]
+        session = Session(
+            scale="small", cache_dir=tmp_path / "cache", max_workers=2
+        )
+        before = SIM_COUNTER.value
+        with pytest.raises(RuntimeError, match="injected failure in aes"):
+            session.run_many(requests)
+        finished = log.read_text().split()
+        assert 1 <= len(finished) < len(names) - 1
+        assert "lib" in finished
+        # Every key of every finished job is counted and stored.
+        assert session.simulated == 5 * len(finished)
+        assert SIM_COUNTER.value - before == session.simulated
+        stored = ResultCache(tmp_path / "cache")
+        assert len(stored) == session.simulated
+        for request in requests:
+            kept = request.benchmark in finished
+            key = fingerprint(request.key_material())
+            assert (stored.get(key) is not None) == kept
+            assert (session.lookup(request)[2] is not None) == kept
 
     @needs_fork
     def test_keyboard_interrupt_cancels_queued_keys(
